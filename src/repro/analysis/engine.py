@@ -46,7 +46,6 @@ from ..solver import (
     current_service,
     default_cache_enabled,
     default_cache_size,
-    default_workers,
 )
 from .cover import cover_quick_reject, covers_destination, terminates_source
 from .dependences import (
@@ -72,29 +71,11 @@ def _subject(dep: Dependence) -> str:
 
 @dataclass
 class _ReadSink:
-    """Per-read collection of side outputs (explain decisions, timing
-    records, provenance).  Each flow task writes only to its own sink, so
-    tasks can run concurrently; the engine merges sinks in read order
-    afterwards."""
+    """Per-read audit state of one flow pipeline.  Subjects of different
+    reads can coincide (two identical reads in one statement), so each
+    read's decision trail and kill attribution are kept apart."""
 
-    explain: ExplainLog | None
-    #: Audit mode only: provenance is collected per read, merged in read
-    #: order (the bit-identity contract shared with explain mode).
-    audit: bool = False
-    #: Event-bus mode: lifecycle entries (kind, subject, stage, detail)
-    #: are *recorded* here on whatever thread runs the task and
-    #: *delivered* to the bus at the engine's read-order merge points,
-    #: so the event stream is bit-identical across worker counts.
-    publish: bool = False
-    lifecycle: list[tuple] = field(default_factory=list)
-    pair_records: list[PairRecord] = field(default_factory=list)
-    kill_timings: list[KillTiming] = field(default_factory=list)
-    provenance: list[ProvenanceRecord] = field(default_factory=list)
-    #: Planned (fused) traversal only: this read's anti dependences and
-    #: their provenance, computed in the same task as the flow pipeline
-    #: and merged back read-major — the legacy anti-phase order.
-    anti: list[Dependence] = field(default_factory=list)
-    anti_provenance: list[ProvenanceRecord] = field(default_factory=list)
+    audit: bool
     #: Flow pairs the Omega test proved independent: (write, read).
     independents: list[tuple[Access, Access]] = field(default_factory=list)
     #: Per-subject decision trail, appended in pipeline order.
@@ -105,16 +86,6 @@ class _ReadSink:
     def note_event(self, subject: str, stage: str, detail: str) -> None:
         if self.audit:
             self.events.setdefault(subject, []).append((stage, detail))
-
-    def note_lifecycle(
-        self,
-        kind: str,
-        subject: str,
-        stage: str | None = None,
-        detail: str | None = None,
-    ) -> None:
-        if self.publish:
-            self.lifecycle.append((kind, subject, stage, detail))
 
 
 @dataclass
@@ -148,7 +119,7 @@ class AnalysisOptions:
     #: Record per-dependence provenance (deciding stage, query footprint,
     #: exactness, degradations) in ``result.provenance`` — the precision
     #: audit layer behind ``python -m repro audit``.  Records are
-    #: bit-identical across ``workers`` and cache settings.
+    #: bit-identical across cache settings.
     audit: bool = False
     #: Memoize Omega queries on their canonical form for the duration of
     #: the analysis (bit-identical results either way).  Defaults to on
@@ -160,21 +131,9 @@ class AnalysisOptions:
     #: LRU capacity of the per-analysis cache (``REPRO_CACHE_SIZE`` or
     #: 4096 entries).
     cache_size: int = field(default_factory=default_cache_size)
-    #: Solver worker threads (``REPRO_WORKERS`` or 1).  With 1 the engine
-    #: runs today's exact serial pipeline; with more, independent per-read
-    #: flow tasks and solver batches overlap on a thread pool, merged back
-    #: deterministically in program order (results are identical).
-    workers: int = field(default_factory=default_workers)
-    #: Solver execution backend (``REPRO_BACKEND`` or "thread"): where
-    #: queries physically run.  "serial" pins everything inline, "thread"
-    #: overlaps batches on a dispatcher pool, "process" additionally
-    #: ships raw solver primitives to a process pool (true multi-core;
-    #: see repro.solver.backends).  Results are bit-identical across
-    #: backends.
-    backend: str | None = None
     #: An explicit :class:`repro.solver.SolverService` to use instead of
-    #: building one (advanced: lets callers share a service — and its memo
-    #: — across many ``analyze`` calls).
+    #: building one (advanced: lets callers share a service — and its
+    #: cache — across many ``analyze`` calls).
     solver: "SolverService | None" = None
     #: Wall-clock deadline for the whole analysis, in milliseconds (the
     #: CLI's ``--deadline-ms``).  Implies a governed run: when the
@@ -268,10 +227,7 @@ class Analyzer:
                 service = SolverService.for_options(
                     cache=self.options.cache,
                     cache_size=self.options.cache_size,
-                    workers=self.options.workers,
-                    backend=self.options.backend,
                 )
-                stack.callback(service.close)
             self.service = service
             stack.enter_context(service.activate())
             # Governed runs: an explicit budget/deadline, or an active
@@ -333,7 +289,6 @@ class Analyzer:
                 if stats is not None:
                     self.result.cache_stats = stats
                     _metrics.set_gauge("omega.cache.size", stats["size"])
-            self.result.backend_stats = dict(service.backend.info())
         return self.result
 
     # -- provenance assembly (audit mode) -------------------------------
@@ -448,9 +403,8 @@ class Analyzer:
     def _emit_run_end(self) -> None:
         """Deliver run-level terminal events, deterministically ordered.
 
-        Degradation events are sorted (the log's order depends on worker
-        scheduling under pipelined services) so the event stream stays
-        bit-identical across worker counts.
+        Degradation events are delivered sorted, so the event stream does
+        not depend on the order in which queries degraded.
         """
 
         if self.result.degradations is not None:
@@ -495,31 +449,22 @@ class Analyzer:
 
         Output dependences still come first (they feed the kill and
         refinement quick tests), but the anti and flow directions of each
-        read are fused into *one* task over the plan's shared state, so a
+        read are fused into *one* pass over the plan's shared state, so a
         read's backward and forward pairs reuse the same base systems and
-        elimination prefixes while they are hot.  Sinks are merged back in
-        read order — all anti results first, then the flow pipelines —
-        reproducing the legacy phase order bit for bit.
+        elimination prefixes while they are hot.  The anti results are
+        held back and placed before every flow result — reproducing the
+        legacy phase order bit for bit.
         """
 
         with _span("analysis.phase.output"):
             self._compute_output_dependences(writes)
+        flow_start = len(self.result.provenance)
+        anti_provenance: list[ProvenanceRecord] = []
         with _span("analysis.phase.fused"):
-            outcomes = self.service.map(
-                lambda read: self._analyze_read_fused(read, writes), reads
-            )
-        for _per_read, sink in outcomes:
-            self.result.anti.extend(sink.anti)
-            self.result.provenance.extend(sink.anti_provenance)
-        for per_read, sink in outcomes:
-            self.result.pair_records.extend(sink.pair_records)
-            self.result.kill_timings.extend(sink.kill_timings)
-            if self.explain is not None and sink.explain is not None:
-                self.explain.merge(sink.explain)
-            self.result.provenance.extend(sink.provenance)
-            self.result.flow.extend(per_read)
-            if self.bus is not None:
-                self.bus.emit_pending(sink.lifecycle)
+            for read in reads:
+                self._analyze_read_anti(read, writes, anti_provenance)
+                self._analyze_read(read, writes)
+        self.result.provenance[flow_start:flow_start] = anti_provenance
         if self.options.input_deps:
             with _span("analysis.phase.input"):
                 self._compute_input_dependences(reads)
@@ -528,16 +473,15 @@ class Analyzer:
         with _span("analysis.graph"):
             self.result.graph()
 
-    def _analyze_read_fused(
-        self, read: Access, writes: Sequence[Access]
-    ) -> tuple[list[Dependence], "_ReadSink"]:
-        """Both dependence directions of one read, in one plan-driven task."""
+    def _analyze_read_anti(
+        self,
+        read: Access,
+        writes: Sequence[Access],
+        provenance: list[ProvenanceRecord],
+    ) -> None:
+        """The planned path's anti dependences of one read; their records
+        go to ``provenance``, ahead of every flow record."""
 
-        sink = _ReadSink(
-            ExplainLog() if self.explain is not None else None,
-            audit=self.audit is not None,
-            publish=self.bus is not None,
-        )
         for dst in writes:
             if read.array != dst.array:
                 continue
@@ -552,7 +496,7 @@ class Analyzer:
                     plan=self.plan,
                 )
             if not deps and self.audit is not None:
-                sink.anti_provenance.append(
+                provenance.append(
                     self._independent_record(DependenceKind.ANTI, read, dst)
                 )
             for dep in deps:
@@ -562,10 +506,9 @@ class Analyzer:
                     ).dependence
                     if self.options.terminate:
                         dep.covers = terminates_source(dep)
-                sink.anti.append(dep)
+                self.result.anti.append(dep)
                 if self.audit is not None:
-                    sink.anti_provenance.append(self._dependence_record(dep))
-        return self._analyze_read(read, writes, sink)
+                    provenance.append(self._dependence_record(dep))
 
     # ------------------------------------------------------------------
     def _compute_output_dependences(self, writes: Sequence[Access]) -> None:
@@ -686,36 +629,23 @@ class Analyzer:
     def _compute_flow_dependences(
         self, reads: Sequence[Access], writes: Sequence[Access]
     ) -> None:
-        # Each read's pipeline (pairs -> cover -> terminators -> kills) is
-        # independent of every other read's, so the reads are fanned out as
-        # service tasks — concurrent when the service is pipelined, inline
-        # and in order when serial — and their sinks are merged back into
-        # the shared result strictly in program (read) order, keeping the
-        # output deterministic regardless of completion order.
-        outcomes = self.service.map(
-            lambda read: self._analyze_read(read, writes), reads
-        )
-        for per_read, sink in outcomes:
-            self.result.pair_records.extend(sink.pair_records)
-            self.result.kill_timings.extend(sink.kill_timings)
-            if self.explain is not None and sink.explain is not None:
-                self.explain.merge(sink.explain)
-            self.result.provenance.extend(sink.provenance)
-            self.result.flow.extend(per_read)
-            if self.bus is not None:
-                self.bus.emit_pending(sink.lifecycle)
+        for read in reads:
+            self._analyze_read(read, writes)
 
-    def _analyze_read(
-        self, read: Access, writes: Sequence[Access], sink: "_ReadSink | None" = None
-    ) -> tuple[list[Dependence], "_ReadSink"]:
+    def _publish(
+        self,
+        kind: str,
+        subject: str,
+        stage: str | None = None,
+        detail: str | None = None,
+    ) -> None:
+        if self.bus is not None:
+            self.bus.emit(kind, subject, stage=stage, detail=detail)
+
+    def _analyze_read(self, read: Access, writes: Sequence[Access]) -> None:
         """The complete flow-dependence pipeline for one array read."""
 
-        if sink is None:
-            sink = _ReadSink(
-                ExplainLog() if self.explain is not None else None,
-                audit=self.audit is not None,
-                publish=self.bus is not None,
-            )
+        sink = _ReadSink(audit=self.audit is not None)
         tester = KillTester(
             self.symbols,
             self.output_pairs,
@@ -732,10 +662,10 @@ class Analyzer:
             self._apply_terminators(per_read, sink)
         if self.options.extended and self.options.kill:
             self._apply_kills(per_read, tester, sink)
-        if sink.explain is not None:
+        if self.explain is not None:
             for dep in per_read:
                 if dep.status is DependenceStatus.LIVE:
-                    sink.explain.record(
+                    self.explain.record(
                         _subject(dep),
                         "kept",
                         "no covering or killing write eliminates it",
@@ -744,18 +674,18 @@ class Analyzer:
             # Records are assembled from the dependences' *final* state —
             # after cover/terminator/kill elimination.  Independent pairs
             # come first (in write-scan order), then every dependence of
-            # this read, both deterministic at any workers setting.
+            # this read.
             for src, dst in sink.independents:
-                sink.provenance.append(
+                self.result.provenance.append(
                     self._independent_record(DependenceKind.FLOW, src, dst)
                 )
             for dep in per_read:
-                sink.provenance.append(self._dependence_record(dep, sink))
-        if sink.publish:
+                self.result.provenance.append(self._dependence_record(dep, sink))
+        if self.bus is not None:
             # Verdict events mirror the provenance ordering: independent
             # pairs first, then this read's dependences in final state.
             for src, dst in sink.independents:
-                sink.note_lifecycle(
+                self._publish(
                     "pair.verdict",
                     f"flow: {src} -> {dst}",
                     stage="omega-unsat",
@@ -766,10 +696,10 @@ class Analyzer:
                 detail = verdict
                 if dep.eliminated_by is not None:
                     detail = f"{verdict} by {dep.eliminated_by.subject()}"
-                sink.note_lifecycle(
+                self._publish(
                     "pair.verdict", dep.subject(), stage=stage, detail=detail
                 )
-        return per_read, sink
+        self.result.flow.extend(per_read)
 
     def _analyze_pair(
         self, write: Access, read: Access, sink: "_ReadSink"
@@ -777,7 +707,7 @@ class Analyzer:
         """Standard + extended analysis of one array pair, with timing."""
 
         _metrics.inc("analysis.pairs_analyzed")
-        sink.note_lifecycle("pair.start", f"flow: {write} -> {read}")
+        self._publish("pair.start", f"flow: {write} -> {read}")
         # Any degradation inside this pair is attributed to it by name.
         with _guard.subject(f"flow: {write} -> {read}"), _span(
             "analysis.pair", src=write, dst=read
@@ -806,10 +736,8 @@ class Analyzer:
                             outcome.dependence is not dep
                             and outcome.dependence.refined
                         ):
-                            if sink.explain is not None:
-                                self._explain_refinement(
-                                    outcome.dependence, sink
-                                )
+                            if self.explain is not None:
+                                self._explain_refinement(outcome.dependence)
                             refined_dep = outcome.dependence
                             before = ", ".join(
                                 str(v) for v in refined_dep.unrefined_directions
@@ -835,8 +763,8 @@ class Analyzer:
                             sink.note_event(
                                 _subject(dep), "cover", "covers its destination"
                             )
-                        if dep.covers and sink.explain is not None:
-                            sink.explain.record(
+                        if dep.covers and self.explain is not None:
+                            self.explain.record(
                                 _subject(dep),
                                 "covers",
                                 "every element the destination accesses was "
@@ -844,7 +772,7 @@ class Analyzer:
                                 used_omega=True,
                             )
 
-        if not deps and (sink.audit or sink.publish):
+        if not deps and (sink.audit or self.bus is not None):
             sink.independents.append((write, read))
         if deps:
             _metrics.inc("analysis.dependences_found", len(deps))
@@ -857,7 +785,7 @@ class Analyzer:
                 category = PairCategory.SPLIT
             else:
                 category = PairCategory.GENERAL
-            sink.pair_records.append(
+            self.result.pair_records.append(
                 PairRecord(
                     write,
                     read,
@@ -869,9 +797,9 @@ class Analyzer:
             )
         return deps
 
-    def _explain_refinement(self, dep: Dependence, sink: "_ReadSink") -> None:
+    def _explain_refinement(self, dep: Dependence) -> None:
         before = ", ".join(str(v) for v in dep.unrefined_directions)
-        sink.explain.record(
+        self.explain.record(
             _subject(dep),
             "refined",
             f"distance narrowed from ({before}) to ({dep.direction_text()}): "
@@ -917,8 +845,8 @@ class Analyzer:
                         "cover",
                         f"eliminated by {_subject(cover)}",
                     )
-                    if sink.explain is not None:
-                        sink.explain.record(
+                    if self.explain is not None:
+                        self.explain.record(
                             _subject(dep),
                             "covered",
                             "its source runs entirely before a covering "
@@ -955,8 +883,8 @@ class Analyzer:
                         "terminate",
                         f"terminated by {_subject(terminator)}",
                     )
-                    if sink.explain is not None:
-                        sink.explain.record(
+                    if self.explain is not None:
+                        self.explain.record(
                             _subject(dep),
                             "terminated",
                             "a terminating write overwrites everything the "
@@ -982,13 +910,13 @@ class Analyzer:
                     killed = tester.kills(victim, killer)
                 record = tester.records[-1]
                 if self.options.record_timings:
-                    sink.kill_timings.append(
+                    self.result.kill_timings.append(
                         KillTiming(
                             victim.src,
                             killer.src,
                             victim.dst,
                             record.elapsed,
-                            self._pair_time(sink, victim.src, victim.dst),
+                            self._pair_time(victim.src, victim.dst),
                             record.used_omega,
                             killed,
                         )
@@ -1004,8 +932,8 @@ class Analyzer:
                         ("general omega test" if record.used_omega else "quick test")
                         + f" by {_subject(killer)}",
                     )
-                    if sink.explain is not None:
-                        sink.explain.record(
+                    if self.explain is not None:
+                        self.explain.record(
                             _subject(victim),
                             "killed",
                             "every element it carries is overwritten by an "
@@ -1016,9 +944,8 @@ class Analyzer:
                         )
                     break
 
-    @staticmethod
-    def _pair_time(sink: "_ReadSink", src: Access, dst: Access) -> float:
-        for record in sink.pair_records:
+    def _pair_time(self, src: Access, dst: Access) -> float:
+        for record in reversed(self.result.pair_records):
             if record.src is src and record.dst is dst:
                 return record.extended_time
         return 0.0

@@ -30,7 +30,6 @@ per legacy query, with identical per-subject audit footprints.
 from __future__ import annotations
 
 import os
-import threading
 from typing import Iterable, Mapping
 
 from ..ir.ast import Access, Program
@@ -77,7 +76,6 @@ class QueryPlan:
         self.space = PlanSpace()
         self._instances: dict[tuple[int, str], InstanceContext] = {}
         self._pure: dict[int, bool] = {}
-        self._lock = threading.Lock()
         self.groups = self._form_groups()
 
     # -- grouping -------------------------------------------------------
@@ -153,16 +151,13 @@ class QueryPlan:
                 access, prefix, self.symbols, self.array_bounds
             )
         key = (id(access), prefix)
-        with self._lock:
-            ctx = self._instances.get(key)
-            if ctx is None:
-                ctx = build_instance(
-                    access, prefix, self.symbols, self.array_bounds
-                )
-                self._instances[key] = ctx
-                _metrics.inc("solver.plan.base_systems")
-            else:
-                _metrics.inc("solver.plan.base_reused")
+        ctx = self._instances.get(key)
+        if ctx is None:
+            ctx = build_instance(access, prefix, self.symbols, self.array_bounds)
+            self._instances[key] = ctx
+            _metrics.inc("solver.plan.base_systems")
+        else:
+            _metrics.inc("solver.plan.base_reused")
         return ctx
 
     def pair_problem(self, src: Access, dst: Access) -> PairProblem:

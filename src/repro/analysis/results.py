@@ -74,8 +74,8 @@ class AnalysisResult:
     explain: ExplainLog | None = None
     #: One :class:`repro.obs.ProvenanceRecord` per dependence pair the
     #: analysis decided (reported, eliminated or proved independent), when
-    #: ``AnalysisOptions(audit=True)``; bit-identical across ``workers``
-    #: and cache settings.
+    #: ``AnalysisOptions(audit=True)``; bit-identical across cache
+    #: settings.
     provenance: list[ProvenanceRecord] = field(default_factory=list)
     #: The raw per-subject query footprints behind ``provenance``.
     audit: AuditLog | None = None
@@ -91,12 +91,6 @@ class AnalysisResult:
     #: means the reported dependences are a sound *superset* of the exact
     #: answer.
     degradations: DegradationLog | None = None
-    #: Snapshot of the execution backend's counters for this analysis
-    #: (:meth:`repro.solver.backends.ExecutionBackend.info`).  Surfaces
-    #: the process backend's broken-pool latch and inline-fallback count
-    #: — a run that silently fell back to inline execution says so here,
-    #: in ``--stats`` and in the run ledger.
-    backend_stats: dict | None = None
     #: Memoized whole-program dependence graph (see :meth:`graph`).
     _graph: object | None = field(default=None, repr=False, compare=False)
 

@@ -40,7 +40,6 @@ __all__ = [
     "HISTORY_SCHEMA",
     "PLANNER_SPEEDUP_THRESHOLD",
     "SCHEMA",
-    "WORKERS_SPEEDUP_THRESHOLD",
     "BenchReport",
     "LegResult",
     "SuiteResult",
@@ -52,7 +51,6 @@ __all__ = [
     "profile_suites",
     "render_report",
     "run_bench",
-    "workers_speedup_gate",
 ]
 
 SCHEMA = "repro.bench/1"
@@ -62,10 +60,7 @@ HISTORY_SCHEMA = "repro.bench-history/1"
 
 #: Legs, in run order.  "on" exercises the memoizing solver facade, "off"
 #: the raw solver — that pair keeps the cache speedup regression-gated —
-#: "workers4" the pipelined solver service (4 workers, cache on), gating
-#: the serial-vs-parallel speedup, "process" the same fan-out on the
-#: process execution backend (Omega primitives escape the GIL; see
-#: repro.solver.backends), gating true multi-core scaling, "guard" the
+#: "guard" the
 #: serial cached configuration under a governed (but unlimited) resource
 #: budget, gating the cost of the checkpoint machinery itself, and
 #: "legacy" the per-pair analysis path with the single-pass query planner
@@ -73,16 +68,14 @@ HISTORY_SCHEMA = "repro.bench-history/1"
 #: the per-pair path by design, so the guard leg also runs with the
 #: planner off and its overhead is measured against "legacy" (same
 #: analysis path, no governance).
-LEGS = ("on", "off", "workers4", "process", "guard", "legacy")
+LEGS = ("on", "off", "guard", "legacy")
 
-#: Leg name -> (cache, workers, planner, backend) configuration.
-LEG_CONFIG: dict[str, tuple[bool, int, bool, str | None]] = {
-    "on": (True, 1, True, None),
-    "off": (False, 1, True, None),
-    "workers4": (True, 4, True, "thread"),
-    "process": (True, 4, True, "process"),
-    "guard": (True, 1, False, None),
-    "legacy": (True, 1, False, None),
+#: Leg name -> (cache, planner) configuration.
+LEG_CONFIG: dict[str, tuple[bool, bool]] = {
+    "on": (True, True),
+    "off": (False, True),
+    "guard": (True, False),
+    "legacy": (True, False),
 }
 
 #: Legs that run inside ``repro.guard.governed(Budget.unlimited())``: the
@@ -98,13 +91,6 @@ GUARD_OVERHEAD_THRESHOLD = 0.05
 #: ratio on the engine-driven suites before :func:`planner_speedup_gate`
 #: passes.
 PLANNER_SPEEDUP_THRESHOLD = 1.3
-
-#: The process backend must beat the serial cached leg by at least this
-#: median ratio on some engine-driven suite before
-#: :func:`workers_speedup_gate` passes — judged only on multi-core
-#: machines (parallel legs on one CPU measure pure overhead, so the gate
-#: *skips*, loudly, instead of passing vacuously).
-WORKERS_SPEEDUP_THRESHOLD = 2.0
 
 
 @dataclass
@@ -153,26 +139,6 @@ class SuiteResult:
         return off.median_s / on.median_s
 
     @property
-    def workers_speedup(self) -> float:
-        """Serial cache-on median over workers4 median (parallel payoff)."""
-
-        on = self.legs.get("on")
-        workers = self.legs.get("workers4")
-        if on is None or workers is None or workers.median_s == 0:
-            return 1.0
-        return on.median_s / workers.median_s
-
-    @property
-    def process_speedup(self) -> float:
-        """Serial cache-on median over process-backend median."""
-
-        on = self.legs.get("on")
-        process = self.legs.get("process")
-        if on is None or process is None or process.median_s == 0:
-            return 1.0
-        return on.median_s / process.median_s
-
-    @property
     def guard_overhead(self) -> float:
         """Guard-leg median over its ungoverned baseline (governance cost).
 
@@ -202,8 +168,6 @@ class SuiteResult:
             "description": self.description,
             "legs": {leg: result.to_dict() for leg, result in self.legs.items()},
             "cache_speedup": self.speedup,
-            "workers_speedup": self.workers_speedup,
-            "process_speedup": self.process_speedup,
             "guard_overhead": self.guard_overhead,
             "planner_speedup": self.planner_speedup,
         }
@@ -260,8 +224,6 @@ def history_entry(
         summary = {"median_s": entry}
         for ratio in (
             "cache_speedup",
-            "workers_speedup",
-            "process_speedup",
             "guard_overhead",
             "planner_speedup",
         ):
@@ -293,12 +255,10 @@ def append_history(
 def _time_leg(
     suite: Suite,
     cache: bool,
-    workers: int,
     planner: bool,
     warmup: int,
     trials: int,
     governed: bool = False,
-    backend: str | None = None,
 ) -> list[float]:
     scope = (
         (lambda: _guard.governed(_guard.Budget.unlimited()))
@@ -307,11 +267,11 @@ def _time_leg(
     )
     with scope():
         for _ in range(warmup):
-            suite.run(cache, workers, planner, backend)
+            suite.run(cache, planner)
         times = []
         for _ in range(trials):
             started = perf_counter()
-            suite.run(cache, workers, planner, backend)
+            suite.run(cache, planner)
             times.append(perf_counter() - started)
     return times
 
@@ -330,7 +290,7 @@ def run_bench(
     for suite in suites:
         result = SuiteResult(suite.name, suite.description)
         for leg in LEGS:
-            cache, workers, planner, backend = LEG_CONFIG[leg]
+            cache, planner = LEG_CONFIG[leg]
             if progress is not None:
                 progress(
                     f"{suite.name}: leg {leg} "
@@ -339,12 +299,10 @@ def run_bench(
             times = _time_leg(
                 suite,
                 cache,
-                workers,
                 planner,
                 warmup,
                 trials,
                 governed=leg in GOVERNED_LEGS,
-                backend=backend,
             )
             result.legs[leg] = LegResult(suite.name, leg, times)
         report.suites[suite.name] = result
@@ -425,54 +383,6 @@ def planner_speedup_gate(
     )
 
 
-def workers_speedup_gate(
-    report: BenchReport,
-    *,
-    suites: Sequence[str] = ("corpus", "cholsky"),
-    threshold: float = WORKERS_SPEEDUP_THRESHOLD,
-    min_cpus: int = 2,
-) -> tuple[bool, str]:
-    """Assert the process backend actually scales on a multi-core host.
-
-    Returns ``(ok, message)``.  The decision records the machine's CPU
-    count, taken from the report's own fingerprint: with fewer than
-    ``min_cpus`` CPUs a parallel leg measures pure dispatch overhead
-    (BENCH_omega.json's historical 0.86x "speedup" was recorded with
-    ``cpus: 1``), so the gate *skips with a logged reason* — it never
-    passes vacuously where it could not have failed.  On multi-core, the
-    best process-leg speedup across the engine suites must clear
-    ``threshold``.
-    """
-
-    cpus = int(report.machine.get("cpus", 1) or 1)
-    if cpus < min_cpus:
-        return True, (
-            f"workers speedup gate: SKIPPED (machine has {cpus} cpu(s); "
-            f"parallel legs measure overhead below {min_cpus} — "
-            "rerun on a multi-core host to judge scaling)"
-        )
-    judged: list[str] = []
-    best = 0.0
-    for name in suites:
-        result = report.suites.get(name)
-        if result is None or "process" not in result.legs or (
-            "on" not in result.legs
-        ):
-            continue
-        speedup = result.process_speedup
-        judged.append(f"{name} {speedup:.2f}x")
-        best = max(best, speedup)
-    if not judged:
-        return True, "workers speedup gate: skipped (no process leg benchmarked)"
-    ok = best >= threshold
-    verdict = "PASS" if ok else "FAIL"
-    return ok, (
-        f"workers speedup gate: {verdict} ({', '.join(judged)}; "
-        f"best process-backend speedup must reach {threshold:.2f}x "
-        f"on {cpus} cpus)"
-    )
-
-
 def render_report(report: BenchReport) -> str:
     """The human-readable per-suite table (``results/bench_omega.txt``)."""
 
@@ -499,14 +409,6 @@ def render_report(report: BenchReport) -> str:
                 f" {max(result.trials):>9.4f}s"
             )
         lines.append(f"  {name:<12} cache speedup: {suite.speedup:.2f}x")
-        if "workers4" in suite.legs:
-            lines.append(
-                f"  {name:<12} workers speedup: {suite.workers_speedup:.2f}x"
-            )
-        if "process" in suite.legs:
-            lines.append(
-                f"  {name:<12} process speedup: {suite.process_speedup:.2f}x"
-            )
         if "guard" in suite.legs:
             lines.append(
                 f"  {name:<12} guard overhead: "

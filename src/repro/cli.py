@@ -16,9 +16,8 @@ Commands
     (``--event-sample`` keeps a deterministic fraction), ``--prom-out``
     writes a Prometheus text-format exposition and ``--otlp-out`` an
     OTLP-style span JSONL.  ``--no-cache`` disables the solver result
-    cache, ``--no-planner`` falls back to the per-pair analysis path,
-    and ``--workers N`` runs the solver service with N worker threads
-    (identical results).
+    cache and ``--no-planner`` falls back to the per-pair analysis path
+    (identical results either way).
 
 ``trace FILE``
     Run the extended analysis under the span tracer and write a
@@ -36,7 +35,7 @@ Commands
 
 ``bench``
     Run the benchmark harness over the paper corpus (cache on/off,
-    parallel, governed and per-pair "legacy" legs, warmup + trials,
+    governed and per-pair "legacy" legs, warmup + trials,
     median/IQR) and write the canonical
     ``BENCH_omega.json`` artifact plus a ``results/`` table, appending a
     one-line summary to ``results/bench_history.jsonl``.
@@ -204,26 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "disable the single-pass query planner and analyze pair by "
             "pair (results are identical, slower; also REPRO_PLANNER=0)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "solver service worker threads (default: REPRO_WORKERS or 1; "
-            "results are identical at any setting)"
-        ),
-    )
-    analyze_cmd.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help=(
-            "solver execution backend (default: REPRO_BACKEND or thread); "
-            "process escapes the GIL by running Omega primitives on a "
-            "process pool — results are identical on every backend"
         ),
     )
     analyze_cmd.add_argument(
@@ -483,22 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     audit_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="solver worker threads (provenance is identical at any setting)",
-    )
-    audit_cmd.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default=None,
-        help=(
-            "solver execution backend (default: REPRO_BACKEND or thread; "
-            "provenance is identical on every backend)"
-        ),
-    )
-    audit_cmd.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the solver cache (provenance is identical either way)",
@@ -730,10 +693,6 @@ def _cmd_analyze(args) -> int:
         options.cache = False
     if args.no_planner:
         options.planner = False
-    if args.workers is not None:
-        options.workers = args.workers
-    if args.backend is not None:
-        options.backend = args.backend
     if args.deadline_ms is not None:
         options.deadline_ms = args.deadline_ms
     if args.strict:
@@ -766,18 +725,11 @@ def _cmd_analyze(args) -> int:
 
             store = PersistentStore(args.store)
             stack.callback(store.close)
-            # Serial caching runs adopt the enclosing scope's cache, which
-            # is how the persistent tier reaches the solver; pipelined
-            # (--workers N) runs keep their own memo and skip the store.
+            # Caching runs adopt the enclosing scope's cache, which is how
+            # the persistent tier reaches the solver.
             stack.enter_context(
                 caching(SolverCache(options.cache_size, store=store))
             )
-            if (options.workers or 1) > 1:
-                print(
-                    "note: --store applies to serial runs; "
-                    f"--workers {options.workers} will not consult it",
-                    file=sys.stderr,
-                )
         try:
             result = analyze(program, options)
         except BudgetExhausted as failure:
@@ -850,22 +802,6 @@ def _cmd_analyze(args) -> int:
                         f"{tier['writes']} writes, {tier['errors']} errors "
                         f"({tier['path']})"
                         + (" DISABLED" if tier.get("disabled") else "")
-                    )
-            if result.backend_stats is not None:
-                backend = result.backend_stats
-                line = f"solver backend: {backend.get('name', '?')}"
-                if "dispatched" in backend:
-                    line += f", {backend['dispatched']} dispatched"
-                if backend.get("inline_fallbacks"):
-                    line += (
-                        f", {backend['inline_fallbacks']} inline fallbacks"
-                    )
-                print(line)
-                if backend.get("broken"):
-                    print(
-                        "WARNING: the process pool broke during this run; "
-                        "remaining queries fell back to inline execution "
-                        "(results are still exact)."
                     )
     if args.trace_out and tracer is not None:
         args.trace_out.parent.mkdir(parents=True, exist_ok=True)
@@ -945,7 +881,6 @@ def _cmd_bench(args) -> int:
         profile_suites,
         render_report,
         run_bench,
-        workers_speedup_gate,
     )
 
     threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
@@ -1005,9 +940,7 @@ def _cmd_bench(args) -> int:
     print(guard_message)
     planner_ok, planner_message = planner_speedup_gate(report)
     print(planner_message)
-    workers_ok, workers_message = workers_speedup_gate(report)
-    print(workers_message)
-    gates_ok = guard_ok and planner_ok and workers_ok
+    gates_ok = guard_ok and planner_ok
 
     if args.profile:
         profile = profile_suites(suites)
@@ -1059,10 +992,6 @@ def _cmd_audit(args) -> int:
         options = AnalysisOptions(audit=True)
         if args.no_cache:
             options.cache = False
-        if args.workers is not None:
-            options.workers = args.workers
-        if args.backend is not None:
-            options.backend = args.backend
         if args.deadline_ms is not None:
             options.deadline_ms = args.deadline_ms
         if args.strict:
@@ -1093,7 +1022,6 @@ def _cmd_audit(args) -> int:
             print(replayed.describe())
         return 0
 
-    workers = args.workers if args.workers is not None else 1
     cache = False if args.no_cache else None
     if args.file is not None:
         programs = [_load(args.file)]
@@ -1109,9 +1037,7 @@ def _cmd_audit(args) -> int:
             stack.enter_context(collecting(registry))
         artifact = precision_report(
             programs,
-            workers=workers,
             cache=cache,
-            backend=args.backend,
             progress=lambda name: print(f"audit: {name}", file=sys.stderr),
         )
         if ledger is not None:

@@ -35,14 +35,13 @@ from .budget import (
     spend,
     subject,
 )
-from .faults import FaultInjected, FaultPlan, injecting, plan_from_env, suppressed
+from .faults import FaultPlan, injecting, plan_from_env, suppressed
 
 __all__ = [
     "Budget",
     "BudgetExhausted",
     "DegradationEvent",
     "DegradationLog",
-    "FaultInjected",
     "FaultPlan",
     "Governor",
     "OmegaComplexityError",

@@ -4,8 +4,7 @@ A :class:`Budget` bounds what one analysis run may spend: wall-clock time
 (``deadline_ms``) plus three per-query work meters — Fourier–Motzkin
 elimination steps (``fm_steps``), splinters generated (``splinters``) and
 DNF pieces/cubes materialized (``dnf_size``).  :func:`governed` activates a
-budget on the current thread (the solver service propagates the activation
-to its workers); the Omega core calls :func:`checkpoint` at the top of its
+budget on the current thread; the Omega core calls :func:`checkpoint` at the top of its
 loops and :func:`spend` wherever it does metered work.  Both are no-ops —
 one thread-local attribute read — when nothing is active, so ungoverned
 runs pay nothing measurable (the ``guard`` benchmark leg regression-gates
@@ -93,7 +92,7 @@ class DegradationEvent:
     #: tagged scope.
     subject: str | None
     #: The query kind that degraded ("sat", "project", "gist", "implies",
-    #: "implies-union", or "task" for a worker-task crash).
+    #: or "implies-union").
     kind: str
     #: Checkpoint site that raised (e.g. "omega.fm").
     site: str | None
@@ -148,10 +147,9 @@ class _Meter(threading.local):
 class Governor:
     """Runtime state of one :func:`governed` scope.
 
-    Shared across the solver service's worker threads (the activation stack
-    is propagated), so the deadline is global while the work meters are
-    thread-local — each worker executes whole queries, so a per-thread
-    meter *is* the per-query meter once :meth:`fresh_query` brackets each
+    The deadline is global to the scope while the work meters are
+    thread-local: a thread executes whole queries, so a per-thread meter
+    *is* the per-query meter once :meth:`fresh_query` brackets each
     top-level query.
     """
 
@@ -260,8 +258,7 @@ def governed(
     log: DegradationLog | None = None,
 ) -> Iterator[Governor]:
     """Activate ``budget`` (and a degradation policy) for the enclosed
-    calls on this thread.  The solver service propagates the activation to
-    its worker threads."""
+    calls on this thread."""
 
     governor = Governor(budget, policy, log if log is not None else DegradationLog())
     _active.stack.append(governor)
@@ -311,43 +308,3 @@ def subject(tag: str) -> Iterator[None]:
         yield
     finally:
         _subjects.stack.pop()
-
-
-# -- cross-thread propagation ------------------------------------------
-# The governor, subject and fault-plan stacks are thread-local; register a
-# provider so repro.obs.instrument.capture() carries them to solver worker
-# threads exactly like the cache/service stacks.
-
-
-def _propagated_guard_stacks():
-    governor_stack = list(_active.stack)
-    subject_stack = list(_subjects.stack)
-    fault_stack = list(_faults._active.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved_governors = _active.stack
-        saved_subjects = _subjects.stack
-        saved_faults = _faults._active.stack
-        # Fresh copies per task entry: workers push/pop their own subject
-        # tags, which must not race on a shared list object.
-        _active.stack = list(governor_stack)
-        _subjects.stack = list(subject_stack)
-        _faults._active.stack = list(fault_stack)
-        try:
-            yield
-        finally:
-            _active.stack = saved_governors
-            _subjects.stack = saved_subjects
-            _faults._active.stack = saved_faults
-
-    return install
-
-
-def _register() -> None:
-    from ..obs import instrument as _instr
-
-    _instr.register_context(_propagated_guard_stacks)
-
-
-_register()

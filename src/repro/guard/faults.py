@@ -6,7 +6,7 @@ Decisions are derived from SHA-256 draws, never from :mod:`random`'s
 global state or ``hash()`` (which is salted per process), so a plan
 replays identically across runs, machines and ``PYTHONHASHSEED`` values.
 
-Three fault kinds:
+Two solver fault kinds:
 
 ``timeout``
     Raise :class:`~repro.omega.errors.BudgetExhausted` with
@@ -15,19 +15,13 @@ Three fault kinds:
     Raise :class:`~repro.omega.errors.BudgetExhausted` for one of the work
     meters (``fm_steps`` / ``splinters`` / ``dnf_size``), chosen by a
     second deterministic draw.
-``crash``
-    Raise :class:`FaultInjected` (a plain ``RuntimeError``): an unexpected
-    worker exception.  Crash faults fire only at the solver service's
-    worker sites (:data:`CRASH_SITES`) where the retry/isolation machinery
-    is the component under test; elsewhere they would bypass the layers
-    that are supposed to contain them.
 
-Plans activate with :func:`injecting` (thread-local, propagated to solver
-workers) and are typically built from the ``REPRO_FAULTS`` environment
-variable via :func:`plan_from_env`:
+The serve layers add their own kinds (:data:`SERVE_KINDS`).  Plans
+activate with :func:`injecting` (thread-local) and are typically built
+from the ``REPRO_FAULTS`` environment variable via :func:`plan_from_env`:
 
     REPRO_FAULTS=42
-    REPRO_FAULTS="seed=42,rate=0.1,kinds=timeout|crash,sites=omega.sat"
+    REPRO_FAULTS="seed=42,rate=0.1,kinds=timeout|budget,sites=omega.sat"
 """
 
 from __future__ import annotations
@@ -43,9 +37,7 @@ from ..obs.instrument import metrics as _metrics
 from ..omega.errors import BudgetExhausted
 
 __all__ = [
-    "CRASH_SITES",
     "DEFAULT_RATE",
-    "FaultInjected",
     "FaultPlan",
     "SERVE_KINDS",
     "current_plan",
@@ -58,7 +50,7 @@ __all__ = [
 DEFAULT_RATE = 0.05
 
 #: Solver-path fault kinds a plan may inject.
-KINDS = ("timeout", "budget", "crash")
+KINDS = ("timeout", "budget")
 
 #: Serve-path fault kinds (see :meth:`FaultPlan.maybe_serve`): drop a
 #: request at admission, fail a persistent-store I/O, or stall a client
@@ -68,21 +60,8 @@ KINDS = ("timeout", "budget", "crash")
 #: solver faults whose uniform reaction is "raise BudgetExhausted".
 SERVE_KINDS = ("request-drop", "store-io-error", "slow-client")
 
-#: Sites where ``crash`` faults may fire (the solver service's worker
-#: wrapper consults these through :meth:`FaultPlan.maybe_crash`).
-CRASH_SITES = frozenset({"solver.worker"})
-
 #: Work meters a ``budget`` fault can claim to have exhausted.
 _BUDGET_KINDS = ("fm_steps", "splinters", "dnf_size")
-
-
-class FaultInjected(RuntimeError):
-    """An injected worker crash (an 'unexpected' exception by design)."""
-
-    def __init__(self, site: str, count: int):
-        super().__init__(f"injected fault at {site} (call #{count})")
-        self.site = site
-        self.count = count
 
 
 def _draw(seed: int, site: str, count: int, salt: str = "") -> float:
@@ -125,12 +104,9 @@ class FaultPlan:
         return self.sites is None or site in self.sites
 
     def maybe_fail(self, site: str) -> None:
-        """Checkpoint hook: raise a timeout/budget fault, or return.
+        """Checkpoint hook: raise a timeout/budget fault, or return."""
 
-        Crash faults never fire here — see :meth:`maybe_crash`.
-        """
-
-        soft = [k for k in self.kinds if k in ("timeout", "budget")]
+        soft = [k for k in self.kinds if k in KINDS]
         if not soft or not self._applies(site):
             return
         count = self._count(site)
@@ -175,19 +151,6 @@ class FaultPlan:
         _metrics.inc("guard.faults_injected")
         return kind
 
-    def maybe_crash(self, site: str) -> None:
-        """Worker hook: raise :class:`FaultInjected`, or return."""
-
-        if "crash" not in self.kinds or site not in CRASH_SITES:
-            return
-        if not self._applies(site):
-            return
-        count = self._count(site)
-        if _draw(self.seed, site, count, "crash") < self.rate:
-            self.injected.append((site, "crash", count))
-            _metrics.inc("guard.faults_injected")
-            raise FaultInjected(site, count)
-
 
 class _ActivePlans(threading.local):
     def __init__(self) -> None:
@@ -220,9 +183,7 @@ def injecting(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 @contextmanager
 def suppressed() -> Iterator[None]:
-    """Mask fault injection for the enclosed calls (the harness's escape
-    hatch: the solver service's last-resort task re-execution runs under
-    this, modeling a clean worker restart)."""
+    """Mask fault injection for the enclosed calls."""
 
     _active.stack.append(None)
     try:

@@ -10,16 +10,15 @@ from the final analysis state plus that query footprint — which stage
 decided the pair, the deciding direction-vector node, whether the answer
 was exact, and every budget degradation that touched it.
 
-Two invariants keep the records **bit-identical** across ``workers`` 1
-vs N and cache on/off (an acceptance criterion, regression-tested):
+Two invariants keep the records **bit-identical** across cache on/off
+(an acceptance criterion, regression-tested):
 
 * Footprints are order-independent aggregates — per-kind query counters
-  and reason *sets* — because batch cells settle in nondeterministic
-  order on the worker pool.
+  and reason *sets*.
 * Noting happens once per query *call* at the service result boundary,
-  whether the value was computed, replayed from the identity memo, or
-  awaited in flight — so memo hits leave the same footprint as misses
-  and cache configuration cannot change a record.
+  whether the value was computed or replayed from a cache — so cache
+  hits leave the same footprint as misses and cache configuration
+  cannot change a record.
 
 This module deliberately imports nothing above :mod:`repro.obs`; callers
 (the solver service, the analysis stages) pass the attribution subject
@@ -33,7 +32,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from . import instrument as _instr
 
 __all__ = [
     "AuditLog",
@@ -297,8 +295,7 @@ def current_audit() -> AuditLog | None:
 
 @contextmanager
 def auditing(log: AuditLog) -> Iterator[AuditLog]:
-    """Activate ``log`` for the enclosed calls on this thread.  The solver
-    service propagates the activation to its worker threads."""
+    """Activate ``log`` for the enclosed calls on this thread."""
 
     _active.stack.append(log)
     try:
@@ -318,22 +315,3 @@ def note_conservative(subject: str | None, reason: str) -> None:
     log = current_audit()
     if log is not None:
         log.note_conservative(subject, reason)
-
-
-# -- cross-thread propagation ------------------------------------------
-def _propagated_audit_stack():
-    stack = list(_active.stack)
-
-    @contextmanager
-    def install() -> Iterator[None]:
-        saved = _active.stack
-        _active.stack = list(stack)
-        try:
-            yield
-        finally:
-            _active.stack = saved
-
-    return install
-
-
-_instr.register_context(_propagated_audit_stack)

@@ -70,13 +70,7 @@ class ExplainLog:
         return decision
 
     def merge(self, other: "ExplainLog") -> "ExplainLog":
-        """Append another log's decisions, preserving their order.
-
-        This is the engine's determinism contract for parallel runs: each
-        per-read task records into its own private log, and the engine
-        merges the logs strictly in program (read) order — so the combined
-        trail is bit-identical at any ``workers`` setting.
-        """
+        """Append another log's decisions, preserving their order."""
 
         self.decisions.extend(other.decisions)
         return self

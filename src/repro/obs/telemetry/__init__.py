@@ -5,15 +5,15 @@ per-run artifacts): everything needed to reason about analysis runs
 *across* invocations —
 
 :mod:`repro.obs.telemetry.context`
-    :class:`RunContext` (run_id / request_id), propagated through solver
-    worker threads like tracers and registries.
+    :class:`RunContext` (run_id / request_id), stamped on run records,
+    events and exported traces.
 :mod:`repro.obs.telemetry.ledger`
     ``repro.run/1`` run records appended to ``results/runs.jsonl`` by
     every CLI invocation, with a :func:`stable_view` projection that is
-    bit-identical across worker counts and cache settings.
+    bit-identical across cache settings.
 :mod:`repro.obs.telemetry.events`
     The live :class:`EventBus`: per-pair lifecycle events with
-    deterministic content-hash sampling, delivered in read-merge order.
+    deterministic content-hash sampling, delivered in read order.
 :mod:`repro.obs.telemetry.diff`
     ``python -m repro diff``: ranked suspects between two run records,
     bench/precision artifacts or trace files, with a CI ``--gate``.

@@ -18,13 +18,11 @@ for backward compatibility.
 **Stable vs volatile fields.**  A record is one run's honest snapshot,
 so most of it is volatile by nature: timestamps, machine details,
 latency quantiles, and any counter whose value depends on the cache
-layer or worker count (``omega.cache.*`` exists only in serial mode,
-``solver.memo.*`` only pipelined, ``solver.plan.cores_*`` settle in
-racy order).  :func:`stable_view` projects out the *stable* subset —
-the analysis-semantics counters and summaries that are bit-identical
-across workers {1, 4} and cache on/off — which is what the determinism
-regression tests compare and what ``diff --gate`` judges without a
-tolerance threshold.
+layer (``omega.cache.*``, ``omega.store.*``).  :func:`stable_view`
+projects out the *stable* subset — the analysis-semantics counters and
+summaries that are bit-identical across cache on/off — which is what
+the determinism regression tests compare and what ``diff --gate``
+judges without a tolerance threshold.
 """
 
 from __future__ import annotations
@@ -58,18 +56,15 @@ RUN_SCHEMA = "repro.run/1"
 #: Default ledger location (relative to the invocation directory).
 DEFAULT_LEDGER = pathlib.Path("results/runs.jsonl")
 
-#: Counter prefixes that are bit-identical across worker counts and
-#: cache settings: pure analysis semantics and audited precision.
+#: Counter prefixes that are bit-identical across cache settings: pure
+#: analysis semantics and audited precision.
 STABLE_COUNTER_PREFIXES = ("analysis.", "omega.precision.")
 
-#: Individual stable counters: call-site-driven service/planner totals
-#: (every query submission and plan construction happens on the main
-#: thread in deterministic order, whatever executes it).
+#: Individual stable counters: call-site-driven service/planner totals.
 STABLE_COUNTERS = frozenset(
     {
         "solver.queries",
         "solver.batch.queries",
-        "solver.tasks",
         "solver.plan.groups",
         "solver.plan.pairs_planned",
         "solver.plan.fallbacks",
@@ -82,24 +77,13 @@ STABLE_COUNTERS = frozenset(
 def machine_fingerprint() -> dict:
     """Enough platform detail to tell two records apart."""
 
-    fingerprint = {
+    return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "cpus": os.cpu_count() or 1,
     }
-    # FM kernel availability travels with the machine: whether numpy was
-    # importable (and which kernel ran) is a property of this host's
-    # environment, not of the analysis configuration — and stable_view
-    # drops the whole machine dict, so diff gates stay kernel-blind.
-    try:
-        from ...omega.kernel import kernel_info
-
-        fingerprint["kernel"] = kernel_info()
-    except Exception:  # pragma: no cover - never block a run record
-        pass
-    return fingerprint
 
 
 def git_sha() -> str | None:
@@ -134,8 +118,6 @@ _OPTION_FIELDS = (
     "audit",
     "cache",
     "cache_size",
-    "workers",
-    "backend",
     "deadline_ms",
     "policy",
     "planner",
@@ -228,8 +210,6 @@ def _bench_summary(artifact: dict) -> tuple[dict, dict]:
         }
         for ratio in (
             "cache_speedup",
-            "workers_speedup",
-            "process_speedup",
             "guard_overhead",
             "planner_speedup",
         ):
@@ -294,15 +274,6 @@ def run_record(
     }
     if result is not None:
         record["summary"] = _result_summary(result)
-        # The execution backend's counters (dispatch totals, the process
-        # pool's broken latch, inline fallbacks) ride at the top level,
-        # NOT inside summary: stable_view keeps summary, and backend
-        # behavior is precisely the configuration-dependent detail the
-        # stable projection must drop.  This is where a silent
-        # broken-pool fallback becomes visible in production ledgers.
-        backend = getattr(result, "backend_stats", None)
-        if backend is not None:
-            record["backend"] = backend
     if artifact is not None:
         schema = artifact.get("schema", "")
         if schema.startswith("repro.bench/"):
@@ -316,13 +287,14 @@ def run_record(
 
 
 def stable_view(record: dict) -> dict:
-    """The worker/cache-independent projection of one run record.
+    """The cache-independent projection of one run record.
 
     Keeps the kind, program, summary and the stable counter subset
     (:data:`STABLE_COUNTER_PREFIXES` / :data:`STABLE_COUNTERS`); drops
     identity, timing, machine and every configuration-dependent series.
-    The ``workers``, ``cache`` and ``backend`` options are elided too —
-    they *are* the configuration under comparison.
+    The ``cache`` options are elided too — they *are* the configuration
+    under comparison — and so are the ``workers`` and ``backend`` options
+    that older records carry, so those compare with current ones.
     """
 
     options = record.get("options")

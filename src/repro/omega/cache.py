@@ -163,9 +163,8 @@ class SolverCache:
     """A bounded LRU result cache for Omega solver queries.
 
     Activation is per-thread (see :func:`caching`), mirroring the
-    metrics/tracing scoping, but the solver service may propagate one
-    activation to its worker threads, so the LRU bookkeeping itself is
-    lock-protected.
+    metrics/tracing scoping, but the daemon's handler threads share one
+    cache, so the LRU bookkeeping itself is lock-protected.
 
     An optional ``store`` (duck-typed on
     :class:`repro.omega.store.PersistentStore`: ``get`` returning

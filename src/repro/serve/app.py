@@ -95,12 +95,12 @@ class ServeApp:
             PersistentStore(store_path) if store_path is not None else None
         )
         self.cache = SolverCache(cache_size, store=self.store)
-        # One *serial* service: the canonical-form cache is the layer the
-        # persistent tier hangs off, and serial mode is the one that
-        # consults it.  Concurrency comes from handler threads sharing
-        # the service (the cache is lock-protected); request isolation
-        # comes from per-request governors, not per-request services.
-        self.service = SolverService(workers=1, cache=True, shared_cache=self.cache)
+        # One service: the canonical-form cache is the layer the
+        # persistent tier hangs off.  Concurrency comes from handler
+        # threads sharing the service (the cache is lock-protected);
+        # request isolation comes from per-request governors, not
+        # per-request services.
+        self.service = SolverService(cache=True, shared_cache=self.cache)
         self.registry = MetricsRegistry()
         self.admission = AdmissionController(
             max_inflight=max_inflight,
@@ -141,7 +141,6 @@ class ServeApp:
         return not self.draining.is_set()
 
     def close(self) -> None:
-        self.service.close()
         if self.store is not None:
             self.store.close()
 
@@ -252,7 +251,9 @@ class ServeApp:
         self, started: float, envelope: dict, *, note_latency: bool = False
     ) -> tuple[int, dict]:
         elapsed = time.monotonic() - started
-        envelope.setdefault("timing_ms", round(elapsed * 1000.0, 3))
+        # Always this request's own time: a result-cache hit copies an
+        # envelope that already carries the original miss's timing.
+        envelope["timing_ms"] = round(elapsed * 1000.0, 3)
         status = envelope["status"]
         self.responses[status] = self.responses.get(status, 0) + 1
         _metrics.observe("serve.request_seconds", elapsed)
@@ -463,7 +464,6 @@ class ServeApp:
                 "admission": self.admission.stats(),
                 "store": self.store.stats() if self.store else None,
             }
-            record["backend"] = dict(self.service.backend.info())
             append_run(record, self.ledger_path)
         except Exception:  # noqa: BLE001 - telemetry must not kill serving
             pass

@@ -28,6 +28,7 @@ import json
 import pathlib
 import signal
 import socket
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -133,7 +134,12 @@ class _UnixHTTPServer(_HTTPServer):
         if path.exists():
             path.unlink()
         path.parent.mkdir(parents=True, exist_ok=True)
-        super().server_bind()
+        # HTTPServer.server_bind would read the path's first two
+        # characters as (host, port) and resolve the "host" — which fails
+        # for a path starting with ".".  Bind the socket only.
+        socketserver.TCPServer.server_bind(self)
+        self.server_name = str(path)
+        self.server_port = 0
 
     def client_address_string(self) -> str:  # pragma: no cover - cosmetic
         return "unix"

@@ -3,8 +3,8 @@
 Analysis code never imports :mod:`repro.omega.cache` or
 :mod:`repro.omega.solve` directly.  It imports this package, which routes
 every query through the innermost active :class:`SolverService` (see
-:meth:`SolverService.activate`), where it can be deduplicated, memoized,
-batched and — with ``workers > 1`` — executed concurrently.  When no
+:meth:`SolverService.activate`), where it is shielded, audited, cached and
+(in batches) deduplicated.  When no
 service is active (scripts, doctests, ad-hoc use) the module functions fall
 back to the omega memoizing facade, so they behave exactly like the
 functions they replaced.
@@ -13,8 +13,8 @@ The vocabulary:
 
 - :class:`SolverQuery` — one declarative query (SAT / PROJECT / GIST /
   IMPLIES) with an identity :meth:`~SolverQuery.key`.
-- :class:`SolverService` — the broker: scalar facades, ``submit_batch``,
-  ``sat_batch`` and ``map`` for independent task fan-out.
+- :class:`SolverService` — the serial broker: scalar facades,
+  ``submit_batch`` and ``sat_batch``.
 - Module-level ``is_satisfiable`` / ``project`` / ``gist`` / ``implies`` /
   ``implies_union`` / ``satisfiable_batch`` / ``submit_batch`` — the
   drop-in call-site API that dispatches to the current service.
@@ -28,30 +28,19 @@ from ..omega import cache as _ocache
 from ..omega.cache import default_cache_enabled, default_cache_size
 from ..omega.constraints import Problem
 from ..omega.redblack import gist_of_projection
-from .backends import available_backends, default_backend, resolve_backend
 from .plan import PlanSpace, PlanState
 from .queries import QueryKind, SolverQuery, problem_key
-from .service import (
-    DEFAULT_MEMO_SIZE,
-    SolverService,
-    current_service,
-    default_workers,
-)
+from .service import SolverService, current_service
 
 __all__ = [
-    "DEFAULT_MEMO_SIZE",
     "PlanSpace",
     "PlanState",
-    "available_backends",
-    "default_backend",
-    "resolve_backend",
     "QueryKind",
     "SolverQuery",
     "SolverService",
     "current_service",
     "default_cache_enabled",
     "default_cache_size",
-    "default_workers",
     "gist",
     "gist_of_projection",
     "implies",
@@ -112,8 +101,8 @@ def implies_union(p: Problem, pieces, **kwargs) -> bool:
 def satisfiable_batch(problems: Sequence[Problem]) -> list[bool]:
     """Batched satisfiability: one bool per problem, in order.
 
-    With an active pipelined service the distinct problems run
-    concurrently; otherwise they run inline, in order.
+    With an active service duplicate problems are solved once; the
+    distinct ones run inline, in order.
     """
 
     service = current_service()

@@ -13,15 +13,10 @@ functions, one per question, so per-subject query footprints are
 identical to the legacy path.  Only the reduction work itself — a pure
 rewrite with no observable answer — happens here, outside the audited
 boundary.
-
-Thread-safety: plan state is shared across the engine's per-read worker
-tasks.  The core memo is lock-protected; a lost race costs one duplicate
-reduction (the core is a pure function of its key), never a wrong entry.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,22 +42,20 @@ class PlanSpace:
     def __init__(self, *, max_growth: int = 8):
         self.max_growth = max_growth
         self._cores: dict[tuple, PartialElimination] = {}
-        self._lock = threading.Lock()
 
     def core(self, problem: Problem, keep: Sequence) -> PartialElimination:
         """The reduced core for ``problem`` protecting ``keep`` (memoized)."""
 
         key = _core_key(problem, keep)
-        with self._lock:
-            cached = self._cores.get(key)
+        cached = self._cores.get(key)
         if cached is not None:
             _metrics.inc("solver.plan.cores_reused")
             return cached
-        core = partial_eliminate(problem, keep, max_growth=self.max_growth)
-        with self._lock:
-            winner = self._cores.setdefault(key, core)
+        core = self._cores[key] = partial_eliminate(
+            problem, keep, max_growth=self.max_growth
+        )
         _metrics.inc("solver.plan.cores_built")
-        return winner
+        return core
 
     def base_state(self, problem: Problem, deltas: Sequence) -> "PlanState":
         """The root state for one pair: its full problem reduced onto the

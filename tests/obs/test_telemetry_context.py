@@ -1,7 +1,6 @@
-"""RunContext: identity propagation through solver worker threads."""
+"""RunContext: run and request identity, activation and nesting."""
 
 from repro.obs import RunContext, current_run, new_run_id, run_context
-from repro.solver import SolverService
 
 
 class TestRunContext:
@@ -28,25 +27,3 @@ class TestRunContext:
     def test_to_dict(self):
         context = RunContext("abc", request_id="req")
         assert context.to_dict() == {"run_id": "abc", "request_id": "req"}
-
-
-class TestWorkerPropagation:
-    def test_context_visible_on_worker_threads(self):
-        service = SolverService(workers=4)
-        try:
-            with run_context(RunContext("deadbeef0001")):
-                seen = service.map(
-                    lambda _: current_run() and current_run().run_id,
-                    range(8),
-                )
-        finally:
-            service.close()
-        assert seen == ["deadbeef0001"] * 8
-
-    def test_no_context_leaks_to_workers(self):
-        service = SolverService(workers=2)
-        try:
-            seen = service.map(lambda _: current_run(), range(4))
-        finally:
-            service.close()
-        assert seen == [None] * 4

@@ -129,14 +129,6 @@ class TestEngineIntegration:
         }
         assert "kill" in stages  # example1's dead dependence
 
-    @pytest.mark.parametrize("planner", [True, False])
-    def test_stream_bit_identical_across_worker_counts(self, planner):
-        options = {"extended": True, "planner": planner}
-        one = run_events(cholsky(), AnalysisOptions(workers=1, **options))
-        four = run_events(cholsky(), AnalysisOptions(workers=4, **options))
-        assert one == four
-        assert len(one) > 10
-
     def test_no_wall_clock_in_payloads(self):
         first = run_events(example1(), AnalysisOptions(extended=True))
         second = run_events(example1(), AnalysisOptions(extended=True))

@@ -79,12 +79,7 @@ class TestRunRecord:
             "python",
             "implementation",
             "cpus",
-            "kernel",
         }
-        # Kernel availability is part of the machine, not the analysis
-        # configuration: which FM kernel can run is an environment fact.
-        assert set(fingerprint["kernel"]) == {"numpy", "active", "forced"}
-        assert fingerprint["kernel"]["active"] in ("numpy", "python")
         sha = git_sha()
         assert sha is None or isinstance(sha, str)
 
@@ -115,11 +110,14 @@ class TestPersistence:
 
 
 class TestStableView:
-    def test_identical_across_worker_counts(self):
-        one = analyzed_record(workers=1)
-        four = analyzed_record(workers=4)
-        assert one != four  # volatile series really do differ
-        assert stable_view(one) == stable_view(four)
+    def test_older_records_with_execution_options_still_compare(self):
+        # Records written before the serial solver carry ``workers`` and
+        # ``backend`` options; the stable view elides them.
+        record = analyzed_record()
+        older = json.loads(json.dumps(record))
+        older["options"].update(workers=4, backend="thread")
+        assert "workers" not in record["options"]
+        assert stable_view(older) == stable_view(record)
 
     def test_identical_across_cache_settings(self):
         cached = analyzed_record(cache=True)
@@ -137,6 +135,6 @@ class TestStableView:
         view = stable_view(analyzed_record())
         assert view["counters"]["omega.precision.records"] > 0
         assert all(
-            not name.startswith(("omega.cache.", "solver.memo."))
+            not name.startswith("omega.cache.")
             for name in view["counters"]
         )

@@ -117,6 +117,21 @@ def test_unix_socket_transport(tmp_path):
     assert not socket_path.exists()  # stop() cleans the socket file up
 
 
+def test_unix_socket_relative_path_starting_with_a_dot(tmp_path, monkeypatch):
+    # HTTPServer's own bind would resolve "./" as a host name and fail.
+    monkeypatch.chdir(tmp_path)
+    socket_path = "./.sock-serve"
+    app = ServeApp(store_path=tmp_path / "store.db")
+    daemon = Daemon(app, host=None, port=0, unix_socket=socket_path)
+    daemon.start()
+    try:
+        client = ServeClient(unix_socket=socket_path)
+        assert client.ping()["status"] == "ok"
+    finally:
+        daemon.stop()
+    assert not (tmp_path / ".sock-serve").exists()
+
+
 def test_both_transports_share_one_app(tmp_path):
     socket_path = tmp_path / "serve.sock"
     app = ServeApp(store_path=tmp_path / "store.db")

@@ -85,7 +85,7 @@ def test_malformed_requests_raise_protocol_errors(payload, fragment):
 def test_execution_configuration_is_not_a_request_option():
     # The degradation policy and execution layout belong to the server;
     # a client must not be able to switch the service to a raise policy
-    # (which would 500) or resize its worker pool.
+    # (which would 500) or resize its caches.
     for forbidden in ("workers", "backend", "policy", "deadline_ms", "cache"):
         assert forbidden not in ANALYZE_OPTION_FIELDS
 

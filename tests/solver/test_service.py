@@ -1,17 +1,14 @@
-"""SolverService mechanics: activation, dedup, memoization, fan-out.
+"""SolverService mechanics: activation, batch de-duplication, ordering.
 
-The service has two personalities — a serial pass-through that must be
-indistinguishable from calling the omega facade directly, and a pipelined
-mode whose identity memo and worker pool must still produce the same
-answers.  These tests pin the mechanics: stack discipline, batch
-de-duplication counters, single-flight memoization, complexity-failure
-replay, ordering guarantees and deadlock-free nested fan-out.
+The service is a serial broker that must be indistinguishable from
+calling the omega facade directly.  These tests pin the mechanics: stack
+discipline, cache activation, batch de-duplication counters, ordering
+guarantees and first-failure reporting.
 """
 
 import pytest
 
 from repro.omega import Problem, SolverCache, Variable, caching
-from repro.omega.cache import Raised
 from repro.omega.errors import OmegaComplexityError
 from repro.solver import (
     SolverQuery,
@@ -33,15 +30,10 @@ def unsat(var):
 
 
 @pytest.fixture
-def pipelined():
-    # threads=True forces real pool execution even on single-core hosts,
-    # so these tests exercise the concurrent paths everywhere.
-    service = SolverService(workers=2, threads=True)
-    try:
-        with service.activate():
-            yield service
-    finally:
-        service.close()
+def service():
+    service = SolverService()
+    with service.activate():
+        yield service
 
 
 class TestActivation:
@@ -59,53 +51,20 @@ class TestActivation:
     def test_serial_cached_service_activates_its_lru(self):
         from repro.omega import current_cache
 
-        service = SolverService(workers=1, cache=True)
+        service = SolverService(cache=True)
         with service.activate():
             assert current_cache() is service.cache
         assert current_cache() is not service.cache
 
     def test_for_options_adopts_enclosing_cache_scope(self):
         with caching() as shared:
-            service = SolverService.for_options(cache=True, workers=1)
+            service = SolverService.for_options(cache=True)
             assert service.cache is shared
 
-    def test_for_options_pipelined_never_adopts(self):
-        with caching():
-            service = SolverService.for_options(cache=True, workers=4)
-            assert service.cache is None
-            assert service._memo is not None
-            service.close()
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            SolverService(workers=0)
-        with pytest.raises(ValueError):
-            SolverService(memo_size=0)
-
-    def test_threads_auto_gate_follows_cpu_count(self, monkeypatch):
-        import repro.solver.service as service_module
-
-        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 1)
-        assert not SolverService(workers=4).threaded
-        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 8)
-        assert SolverService(workers=4).threaded
-        # Explicit settings override the auto-gate; serial never threads.
-        monkeypatch.setattr(service_module.os, "cpu_count", lambda: 1)
-        assert SolverService(workers=4, threads=True).threaded
-        assert not SolverService(workers=1, threads=True).threaded
-
-    def test_single_core_pipelined_service_runs_inline(self):
-        # The memo still applies, but no pool is ever spun up.
-        service = SolverService(workers=4, threads=False)
-        with service.activate():
-            assert service.sat_batch([bounded(x, 0, 5), unsat(x)]) == [
-                True,
-                False,
-            ]
-            assert service.map(lambda n: n + 1, range(3)) == [1, 2, 3]
-        assert service._executor is None
-        assert service.memo_stats()["misses"] == 2
-        service.close()
+    def test_shared_cache_is_used_as_given(self):
+        shared = SolverCache()
+        assert SolverService(shared_cache=shared).cache is shared
+        assert SolverService(cache=False, shared_cache=shared).cache is None
 
 
 class TestFacade:
@@ -123,24 +82,25 @@ class TestFacade:
 
 
 class TestBatches:
-    def test_sat_batch_preserves_submission_order(self, pipelined):
+    def test_sat_batch_preserves_submission_order(self, service):
         problems = [bounded(x, 0, 5), unsat(x), bounded(y, 2, 9)]
-        assert pipelined.sat_batch(problems) == [True, False, True]
+        assert service.sat_batch(problems) == [True, False, True]
 
-    def test_duplicate_queries_compute_once(self, pipelined):
+    def test_duplicate_queries_compute_once(self, service):
         p = bounded(x, 0, 5)
-        answers = pipelined.sat_batch([p, p, p, unsat(y)])
+        answers = service.sat_batch([p, p, p, unsat(y)])
         assert answers == [True, True, True, False]
-        assert pipelined.batch_dedup == 2
-        # The memo saw only the two distinct problems.
-        assert pipelined.misses == 2
+        assert service.batch_dedup == 2
+        assert service.queries == 4
+        # The canonical cache saw only the two distinct problems.
+        assert service.cache_stats()["misses"] == 2
 
-    def test_submit_batch_mixes_query_kinds(self, pipelined):
+    def test_submit_batch_mixes_query_kinds(self, service):
         p = bounded(x, 0, 5)
         sat_q = SolverQuery.sat(p)
         proj_q = SolverQuery.project(p, [x])
         implies_q = SolverQuery.implies(bounded(x, 1, 3), p)
-        sat_answer, projection, implied = pipelined.submit_batch(
+        sat_answer, projection, implied = service.submit_batch(
             [sat_q, proj_q, implies_q]
         )
         assert sat_answer is True
@@ -148,11 +108,11 @@ class TestBatches:
         assert projection.kept == frozenset([x])
         assert projection.dark.canonical() == p.canonical()
 
-    def test_empty_batch(self, pipelined):
-        assert pipelined.sat_batch([]) == []
-        assert pipelined.submit_batch([]) == []
+    def test_empty_batch(self, service):
+        assert service.sat_batch([]) == []
+        assert service.submit_batch([]) == []
 
-    def test_batch_raises_first_failure_in_submission_order(self, pipelined):
+    def test_batch_raises_first_failure_in_submission_order(self, service):
         def ok():
             return True
 
@@ -163,68 +123,40 @@ class TestBatches:
             return fail
 
         with pytest.raises(OmegaComplexityError, match="first"):
-            pipelined._run_batch(
+            service._run_batch(
                 [
-                    (("t", 1), ok, ()),
-                    (("t", 2), boom("first"), ()),
-                    (("t", 3), boom("second"), ()),
+                    (("t", 1), ok, (), "sat", ok, ""),
+                    (("t", 2), boom("first"), (), "sat", ok, ""),
+                    (("t", 3), boom("second"), (), "sat", ok, ""),
                 ]
             )
 
+    def test_batch_runs_every_cell_in_order_before_raising(self, service):
+        ran = []
 
-class TestIdentityMemo:
-    def test_hits_skip_recomputation(self, pipelined):
-        calls = []
+        def cell(n, fail=False):
+            def run():
+                ran.append(n)
+                if fail:
+                    raise OmegaComplexityError(f"cell {n}")
+                return n
 
-        def compute():
-            calls.append(1)
-            return 42
+            return run
 
-        key = ("test", "memo")
-        assert pipelined._memoized(key, compute) == 42
-        assert pipelined._memoized(key, compute) == 42
-        assert calls == [1]
-        assert pipelined.hits == 1 and pipelined.misses == 1
+        with pytest.raises(OmegaComplexityError, match="cell 1"):
+            service._run_batch(
+                [
+                    (("t", n), cell(n, fail=n == 1), (), "sat", cell(n), "")
+                    for n in range(3)
+                ]
+            )
+        assert ran == [0, 1, 2]
 
-    def test_complexity_failures_replay_without_resolving(self):
-        service = SolverService(workers=2)
-        calls = []
 
-        def fail():
-            calls.append(1)
-            raise OmegaComplexityError("too hard")
-
-        key = ("test", "raised")
-        with pytest.raises(OmegaComplexityError):
-            service._memoized(key, fail)
-        with pytest.raises(OmegaComplexityError, match="too hard"):
-            service._memoized(key, fail)
-        assert calls == [1]
-        assert isinstance(service._memo[key], Raised)
-        service.close()
-
-    def test_memo_evicts_least_recently_used(self):
-        service = SolverService(workers=2, memo_size=2)
-        service._memoized(("k", 1), lambda: 1)
-        service._memoized(("k", 2), lambda: 2)
-        service._memoized(("k", 1), lambda: 1)  # refresh 1
-        service._memoized(("k", 3), lambda: 3)  # evicts 2
-        assert service.evictions == 1
-        assert ("k", 2) not in service._memo
-        assert ("k", 1) in service._memo
-        service.close()
-
-    def test_uncached_pipelined_service_recomputes(self):
-        service = SolverService(workers=2, cache=False)
-        p = bounded(x, 0, 5)
-        assert service.sat(p) and service.sat(p)
-        assert service.hits == 0 and service.misses == 0
-        assert service.cache_stats() is None
-        service.close()
-
-    def test_cache_stats_shape_matches_the_cli_contract(self, pipelined):
-        pipelined.sat(bounded(x, 0, 5))
-        stats = pipelined.cache_stats()
+class TestCacheStats:
+    def test_cache_stats_shape_matches_the_cli_contract(self, service):
+        service.sat(bounded(x, 0, 5))
+        stats = service.cache_stats()
         assert {
             "hits",
             "misses",
@@ -235,81 +167,15 @@ class TestIdentityMemo:
         } <= set(stats)
 
     def test_serial_cache_stats_come_from_the_lru(self):
-        service = SolverService(workers=1, cache=True)
+        service = SolverService(cache=True)
         with service.activate():
             is_satisfiable(bounded(x, 0, 5))
             is_satisfiable(bounded(x, 0, 5))
         assert service.cache_stats()["hits"] == 1
-        assert service.memo_stats() is None
 
-
-class TestMap:
-    def test_results_in_item_order(self, pipelined):
-        assert pipelined.map(lambda n: n * n, range(6)) == [
-            0, 1, 4, 9, 16, 25,
-        ]
-        assert pipelined.tasks == 6
-
-    def test_serial_map_runs_inline(self):
-        service = SolverService(workers=1)
-        order = []
-
-        def record(n):
-            order.append(n)
-            return n
-
-        service.map(record, [3, 1, 2])
-        assert order == [3, 1, 2]
-        assert service._executor is None  # never spun up a pool
-
-    def test_first_exception_in_item_order_wins(self, pipelined):
-        def explode(n):
-            if n % 2:
-                raise ValueError(f"item {n}")
-            return n
-
-        with pytest.raises(ValueError, match="item 1"):
-            pipelined.map(explode, [0, 1, 2, 3])
-
-    def test_nested_fan_out_runs_inline_on_workers(self):
-        # A map inside a map must not wait on its own pool (deadlock with
-        # workers=1 pool threads); the inner call detects it is on a worker
-        # and executes inline.
-        service = SolverService(workers=2, threads=True)
+    def test_uncached_service_reports_no_cache_stats(self):
+        service = SolverService(cache=False)
         with service.activate():
-            def outer(n):
-                return sum(service.map(lambda m: m + n, range(3)))
-
-            assert service.map(outer, range(4)) == [3, 6, 9, 12]
-        service.close()
-
-    def test_nested_batches_run_inline_on_workers(self, pipelined):
-        problems = [bounded(x, 0, 5), unsat(x)]
-
-        def probe(_):
-            return pipelined.sat_batch(problems)
-
-        assert pipelined.map(probe, range(4)) == [[True, False]] * 4
-
-    def test_close_is_idempotent(self):
-        service = SolverService(workers=2, threads=True)
-        service.map(lambda n: n, range(3))
-        service.close()
-        service.close()
-
-
-class TestContextPropagation:
-    def test_worker_tasks_see_the_active_service(self, pipelined):
-        seen = pipelined.map(lambda _: current_service(), range(4))
-        assert all(found is pipelined for found in seen)
-
-    def test_worker_spans_land_in_the_callers_tracer(self):
-        from repro.obs import tracing
-
-        service = SolverService(workers=2, threads=True)
-        with tracing() as tracer, service.activate():
-            service.sat_batch(
-                [bounded(x, 0, 5), unsat(x), bounded(y, 1, 2)]
-            )
-        service.close()
-        assert "solver.batch" in tracer.span_names()
+            assert is_satisfiable(bounded(x, 0, 5))
+        assert service.cache_stats() is None
+        assert service.stats()["cache"] is None

@@ -252,8 +252,6 @@ class TestBenchCommand:
         assert set(payload["suites"]["symbolic"]["legs"]) == {
             "on",
             "off",
-            "workers4",
-            "process",
             "guard",
             "legacy",
         }
@@ -514,20 +512,15 @@ class TestAuditCommand:
         assert main(["audit", "--diff", str(a), str(a)]) == 0
         assert "gate: PASS" in capsys.readouterr().out
 
-    def test_audit_workers_and_cache_flags_are_bit_identical(
-        self, program_file, tmp_path
-    ):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        assert main(["audit", str(program_file), "--out", str(serial)]) == 0
+    def test_audit_cache_flag_is_bit_identical(self, program_file, tmp_path):
+        cached = tmp_path / "cached.json"
+        uncached = tmp_path / "uncached.json"
+        assert main(["audit", str(program_file), "--out", str(cached)]) == 0
         assert main(
-            [
-                "audit", str(program_file), "--workers", "4", "--no-cache",
-                "--out", str(parallel),
-            ]
+            ["audit", str(program_file), "--no-cache", "--out", str(uncached)]
         ) == 0
-        left = json.loads(serial.read_text())
-        right = json.loads(parallel.read_text())
+        left = json.loads(cached.read_text())
+        right = json.loads(uncached.read_text())
         assert left["programs"] == right["programs"]
 
     def test_analyze_audit_flag(self, program_file, capsys):
@@ -773,11 +766,6 @@ class TestStoreFlag:
                 ["analyze", str(program_file), "--json", "--store", str(store)]
             ) == 0
             assert capsys.readouterr().out == plain
-
-    def test_stats_report_solver_backend(self, program_file, capsys):
-        assert main(["analyze", str(program_file), "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "solver backend:" in out
 
 
 class TestServeCommands:
