@@ -4,12 +4,15 @@ Follows the paper's pipeline (Section 4):
 
 1. compute all output dependences (they feed the quick tests for killing
    and refinement);
-2. compute anti dependences (unchanged by the extended analysis, as in the
-   paper's implementation);
-3. for each array read, compute the apparent flow dependences from every
-   write; refine each; check covering; use covers to rule out writes that
-   precede the coverer completely; check surviving dependences pairwise for
-   kills.
+2. for each array read, compute its anti dependences (unchanged by the
+   extended analysis, as in the paper's implementation) and then its
+   apparent flow dependences from every write; refine each; check
+   covering; use covers to rule out writes that precede the coverer
+   completely; check surviving dependences pairwise for kills.
+
+Every pair goes through one :class:`repro.analysis.plan.QueryPlan`, which
+shares iteration-space systems and exact elimination prefixes across the
+traversal, governed or not.
 
 Timing and classification per array pair is recorded for the Figure 6/7
 reproductions.  All timing is span-based (``repro.obs.trace``): the engine
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import asdict as _asdict, dataclass, field, replace as _replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..guard import Budget, DegradationLog
 from ..guard import budget as _guard
@@ -54,8 +57,8 @@ from .dependences import (
     DependenceStatus,
     compute_dependences,
 )
-from .kills import KillTester, kill_quick_reject
-from .plan import QueryPlan, default_planner_enabled
+from .kills import KillTester
+from .plan import QueryPlan
 from .problem import SymbolTable, common_depth
 from .refine import refine_dependence
 from .results import AnalysisResult, KillTiming, PairCategory, PairRecord
@@ -148,14 +151,6 @@ class AnalysisOptions:
     #: ``result.degradations``; ``"raise"`` (the CLI's ``--strict``)
     #: propagates :class:`repro.omega.BudgetExhausted` to the caller.
     policy: str = "degrade"
-    #: Single-pass query planner (:mod:`repro.analysis.plan`): group pairs
-    #: by iteration space, share base constraint systems and exact
-    #: Fourier-Motzkin prefixes across the whole-program traversal.
-    #: Results, provenance and explain trails are bit-identical to the
-    #: legacy per-pair path.  Defaults to on unless ``REPRO_PLANNER=0``;
-    #: governed runs (a budget, deadline or fault plan) always fall back
-    #: to the legacy path so degradation semantics stay untouched.
-    planner: bool = field(default_factory=default_planner_enabled)
 
     def effective_budget(self) -> "Budget | None":
         """The merged budget, or None when this run is ungoverned."""
@@ -200,9 +195,13 @@ class Analyzer:
         #: The solver service every query of this run goes through (set by
         #: :meth:`run`; adopted or private, see there).
         self.service: SolverService | None = None
-        #: The single-pass query plan (set by :meth:`run` for ungoverned
-        #: planner runs; None selects the legacy per-pair pipeline).
-        self.plan: QueryPlan | None = None
+        #: The single-pass query plan every pair of this run goes through.
+        self.plan = QueryPlan(
+            program,
+            self.symbols,
+            assertions=options.assertions,
+            array_bounds=program.array_bounds,
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> AnalysisResult:
@@ -250,24 +249,6 @@ class Analyzer:
             self.bus = _current_bus()
             if self.bus is not None:
                 self.bus.emit("run.start", self.program.name)
-            # The query planner drives ungoverned runs only: under a
-            # budget the per-probe degradation shields expect the legacy
-            # problem shapes, so governed runs keep the per-pair path.
-            if self.options.planner and budget is None:
-                self.plan = QueryPlan(
-                    self.program,
-                    self.symbols,
-                    assertions=self.options.assertions,
-                    array_bounds=self.program.array_bounds,
-                )
-            elif self.options.planner:
-                _metrics.inc("solver.plan.fallbacks")
-                if self.bus is not None:
-                    self.bus.emit(
-                        "planner.fallback",
-                        self.program.name,
-                        detail="governed run: per-pair path",
-                    )
             # Attribute the run's root span to the active RunContext so
             # exported traces carry the request identity.
             span_attrs = {"program": self.program.name}
@@ -426,36 +407,19 @@ class Analyzer:
         self.bus.emit("run.end", self.program.name, detail=counts)
 
     def _run_phases(self) -> None:
-        writes = self.program.writes()
-        reads = self.program.reads()
-
-        if self.plan is not None:
-            self._run_planned_phases(writes, reads)
-            return
-        with _span("analysis.phase.output"):
-            self._compute_output_dependences(writes)
-        with _span("analysis.phase.anti"):
-            self._compute_anti_dependences(reads, writes)
-        with _span("analysis.phase.flow"):
-            self._compute_flow_dependences(reads, writes)
-        if self.options.input_deps:
-            with _span("analysis.phase.input"):
-                self._compute_input_dependences(reads)
-
-    def _run_planned_phases(
-        self, writes: Sequence[Access], reads: Sequence[Access]
-    ) -> None:
         """The single-pass plan-driven traversal.
 
-        Output dependences still come first (they feed the kill and
-        refinement quick tests), but the anti and flow directions of each
-        read are fused into *one* pass over the plan's shared state, so a
-        read's backward and forward pairs reuse the same base systems and
-        elimination prefixes while they are hot.  The anti results are
-        held back and placed before every flow result — reproducing the
-        legacy phase order bit for bit.
+        Output dependences come first (they feed the kill and refinement
+        quick tests).  The anti and flow directions of each read are then
+        fused into *one* pass over the plan's shared state, so a read's
+        backward and forward pairs reuse the same base systems and
+        elimination prefixes while they are hot.  The anti records are
+        held back and placed before every flow record, so records keep
+        the output, anti, flow, input order.
         """
 
+        writes = self.program.writes()
+        reads = self.program.reads()
         with _span("analysis.phase.output"):
             self._compute_output_dependences(writes)
         flow_start = len(self.result.provenance)
@@ -479,8 +443,8 @@ class Analyzer:
         writes: Sequence[Access],
         provenance: list[ProvenanceRecord],
     ) -> None:
-        """The planned path's anti dependences of one read; their records
-        go to ``provenance``, ahead of every flow record."""
+        """The anti dependences of one read; their records go to
+        ``provenance``, ahead of every flow record."""
 
         for dst in writes:
             if read.array != dst.array:
@@ -561,40 +525,6 @@ class Analyzer:
                 elif component.lo is not None and component.lo > 0:
                     levels.add(index)
 
-    def _compute_anti_dependences(
-        self, reads: Sequence[Access], writes: Sequence[Access]
-    ) -> None:
-        for src in reads:
-            for dst in writes:
-                if src.array != dst.array:
-                    continue
-                with _guard.subject(f"anti: {src} -> {dst}"):
-                    deps = compute_dependences(
-                        src,
-                        dst,
-                        DependenceKind.ANTI,
-                        self.symbols,
-                        assertions=self.options.assertions,
-                        array_bounds=self.program.array_bounds,
-                        plan=self.plan,
-                    )
-                if not deps and self.audit is not None:
-                    self.result.provenance.append(
-                        self._independent_record(DependenceKind.ANTI, src, dst)
-                    )
-                for dep in deps:
-                    if self.options.extended and self.options.extend_all_kinds:
-                        dep = refine_dependence(
-                            dep, partial=self.options.partial_refine
-                        ).dependence
-                        if self.options.terminate:
-                            dep.covers = terminates_source(dep)
-                    self.result.anti.append(dep)
-                    if self.audit is not None:
-                        self.result.provenance.append(
-                            self._dependence_record(dep)
-                        )
-
     def _compute_input_dependences(self, reads: Sequence[Access]) -> None:
         for src in reads:
             for dst in reads:
@@ -626,12 +556,6 @@ class Analyzer:
                         )
 
     # ------------------------------------------------------------------
-    def _compute_flow_dependences(
-        self, reads: Sequence[Access], writes: Sequence[Access]
-    ) -> None:
-        for read in reads:
-            self._analyze_read(read, writes)
-
     def _publish(
         self,
         kind: str,

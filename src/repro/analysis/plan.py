@@ -1,7 +1,6 @@
 """The single-pass query planner: group pairs, share base systems.
 
-``QueryPlan`` is built once per analysis run (when
-``AnalysisOptions.planner`` is on and the run is ungoverned) and threads
+``QueryPlan`` is built once per analysis run, governed or not, and threads
 through :func:`repro.analysis.dependences.compute_dependences` into the
 direction-vector search.  It contributes two kinds of sharing:
 
@@ -12,8 +11,8 @@ statement instance's constraint system once per role prefix, reusing it
 across all pairs of the group.  Sharing is restricted to *pure* instances
 — affine subscripts and bounds, unit steps — whose construction mints no
 fresh occurrence or wildcard variables, so a shared instance is
-constraint-for-constraint identical to the one the legacy path would
-build and results stay bit-identical.
+constraint-for-constraint identical to a per-pair build and results stay
+bit-identical.
 
 *FM prefixes.*  Each pair's full problem is exactly reduced onto its
 distance variables (:mod:`repro.omega.partial`) through the
@@ -24,12 +23,12 @@ iteration space.
 
 The planner changes *which problems* are submitted for the sign probes,
 never the question order or the answers: probes remain one service query
-per legacy query, with identical per-subject audit footprints.
+per question, with identical per-subject audit footprints.  Governed runs
+therefore keep their per-query degradation shields unchanged.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Mapping
 
 from ..ir.ast import Access, Program
@@ -43,15 +42,7 @@ from .problem import (
     build_pair_problem,
 )
 
-__all__ = ["QueryPlan", "default_planner_enabled"]
-
-_DISABLED = {"0", "false", "no", "off"}
-
-
-def default_planner_enabled() -> bool:
-    """Planner default: on, unless ``REPRO_PLANNER`` disables it."""
-
-    return os.environ.get("REPRO_PLANNER", "").strip().lower() not in _DISABLED
+__all__ = ["QueryPlan"]
 
 
 def _affine(expr) -> bool:
@@ -116,8 +107,8 @@ class QueryPlan:
 
         Impure instances (uninterpreted terms in bounds or subscripts,
         non-unit steps) draw from global occurrence/wildcard counters, so
-        sharing one would shift the numbering the legacy path produces;
-        they are rebuilt per pair exactly as before.
+        sharing one would shift the numbering a per-pair build produces;
+        they are rebuilt per pair.
         """
 
         cached = self._pure.get(id(access))

@@ -38,7 +38,6 @@ from .suites import Suite, default_suites
 __all__ = [
     "GUARD_OVERHEAD_THRESHOLD",
     "HISTORY_SCHEMA",
-    "PLANNER_SPEEDUP_THRESHOLD",
     "SCHEMA",
     "BenchReport",
     "LegResult",
@@ -47,7 +46,6 @@ __all__ = [
     "guard_overhead_gate",
     "history_entry",
     "machine_fingerprint",
-    "planner_speedup_gate",
     "profile_suites",
     "render_report",
     "run_bench",
@@ -60,37 +58,22 @@ HISTORY_SCHEMA = "repro.bench-history/1"
 
 #: Legs, in run order.  "on" exercises the memoizing solver facade, "off"
 #: the raw solver — that pair keeps the cache speedup regression-gated —
-#: "guard" the
-#: serial cached configuration under a governed (but unlimited) resource
-#: budget, gating the cost of the checkpoint machinery itself, and
-#: "legacy" the per-pair analysis path with the single-pass query planner
-#: disabled, gating the planner's speedup.  Governed runs fall back to
-#: the per-pair path by design, so the guard leg also runs with the
-#: planner off and its overhead is measured against "legacy" (same
-#: analysis path, no governance).
-LEGS = ("on", "off", "guard", "legacy")
+#: and "guard" the cached configuration under a governed (but unlimited)
+#: resource budget, gating the cost of the checkpoint machinery itself
+#: against "on".
+LEGS = ("on", "off", "guard")
 
-#: Leg name -> (cache, planner) configuration.
-LEG_CONFIG: dict[str, tuple[bool, bool]] = {
-    "on": (True, True),
-    "off": (False, True),
-    "guard": (True, False),
-    "legacy": (True, False),
-}
+#: Leg name -> solver-cache setting.
+LEG_CACHE: dict[str, bool] = {"on": True, "off": False, "guard": True}
 
 #: Legs that run inside ``repro.guard.governed(Budget.unlimited())``: the
 #: checkpoints all fire (deadline checks, meter updates) but can never
 #: exhaust, isolating pure governance overhead against the "on" leg.
 GOVERNED_LEGS = frozenset({"guard"})
 
-#: The guard leg may cost at most this much over the "legacy" leg (median
+#: The guard leg may cost at most this much over the "on" leg (median
 #: ratio - 1) before :func:`guard_overhead_gate` fails.
 GUARD_OVERHEAD_THRESHOLD = 0.05
-
-#: The planner must beat the per-pair "legacy" leg by at least this median
-#: ratio on the engine-driven suites before :func:`planner_speedup_gate`
-#: passes.
-PLANNER_SPEEDUP_THRESHOLD = 1.3
 
 
 @dataclass
@@ -140,28 +123,13 @@ class SuiteResult:
 
     @property
     def guard_overhead(self) -> float:
-        """Guard-leg median over its ungoverned baseline (governance cost).
-
-        The baseline is the "legacy" leg — the guard leg analyzes through
-        the same per-pair path (governed runs disable the planner) — with
-        the cache-on leg as a fallback for artifacts predating "legacy".
-        """
-
-        baseline = self.legs.get("legacy") or self.legs.get("on")
-        guard = self.legs.get("guard")
-        if baseline is None or guard is None or baseline.median_s == 0:
-            return 1.0
-        return guard.median_s / baseline.median_s
-
-    @property
-    def planner_speedup(self) -> float:
-        """Per-pair "legacy" median over planned cache-on median."""
+        """Guard-leg median over the cache-on median (governance cost)."""
 
         on = self.legs.get("on")
-        legacy = self.legs.get("legacy")
-        if on is None or legacy is None or on.median_s == 0:
+        guard = self.legs.get("guard")
+        if on is None or guard is None or on.median_s == 0:
             return 1.0
-        return legacy.median_s / on.median_s
+        return guard.median_s / on.median_s
 
     def to_dict(self) -> dict:
         return {
@@ -169,7 +137,6 @@ class SuiteResult:
             "legs": {leg: result.to_dict() for leg, result in self.legs.items()},
             "cache_speedup": self.speedup,
             "guard_overhead": self.guard_overhead,
-            "planner_speedup": self.planner_speedup,
         }
 
 
@@ -222,11 +189,7 @@ def history_entry(
             if "median_s" in data
         }
         summary = {"median_s": entry}
-        for ratio in (
-            "cache_speedup",
-            "guard_overhead",
-            "planner_speedup",
-        ):
+        for ratio in ("cache_speedup", "guard_overhead"):
             if ratio in suite:
                 summary[ratio] = round(suite[ratio], 4)
         suites[name] = summary
@@ -255,7 +218,6 @@ def append_history(
 def _time_leg(
     suite: Suite,
     cache: bool,
-    planner: bool,
     warmup: int,
     trials: int,
     governed: bool = False,
@@ -267,11 +229,11 @@ def _time_leg(
     )
     with scope():
         for _ in range(warmup):
-            suite.run(cache, planner)
+            suite.run(cache)
         times = []
         for _ in range(trials):
             started = perf_counter()
-            suite.run(cache, planner)
+            suite.run(cache)
             times.append(perf_counter() - started)
     return times
 
@@ -290,7 +252,6 @@ def run_bench(
     for suite in suites:
         result = SuiteResult(suite.name, suite.description)
         for leg in LEGS:
-            cache, planner = LEG_CONFIG[leg]
             if progress is not None:
                 progress(
                     f"{suite.name}: leg {leg} "
@@ -298,8 +259,7 @@ def run_bench(
                 )
             times = _time_leg(
                 suite,
-                cache,
-                planner,
+                LEG_CACHE[leg],
                 warmup,
                 trials,
                 governed=leg in GOVERNED_LEGS,
@@ -334,9 +294,7 @@ def guard_overhead_gate(
     """
 
     result = report.suites.get(suite)
-    if result is None or "guard" not in result.legs or (
-        "legacy" not in result.legs and "on" not in result.legs
-    ):
+    if result is None or "guard" not in result.legs or "on" not in result.legs:
         return True, f"guard overhead gate: skipped ({suite} not benchmarked)"
     overhead = result.guard_overhead - 1.0
     ok = overhead < threshold
@@ -344,42 +302,6 @@ def guard_overhead_gate(
     return ok, (
         f"guard overhead gate: {verdict} ({suite} governed run costs "
         f"{overhead:+.1%} vs ungoverned; budget +{threshold:.0%})"
-    )
-
-
-def planner_speedup_gate(
-    report: BenchReport,
-    *,
-    suites: Sequence[str] = ("corpus", "cholsky"),
-    threshold: float = PLANNER_SPEEDUP_THRESHOLD,
-) -> tuple[bool, str]:
-    """Assert the planner beats the per-pair path on the engine suites.
-
-    Returns ``(ok, message)``.  Suites missing the "legacy" or "on" leg
-    are skipped (the gate only judges what actually ran); the symbolic
-    suite never counts, since it does not drive the analysis engine.
-    """
-
-    judged: list[str] = []
-    ok = True
-    for name in suites:
-        result = report.suites.get(name)
-        if (
-            result is None
-            or "legacy" not in result.legs
-            or "on" not in result.legs
-        ):
-            continue
-        speedup = result.planner_speedup
-        judged.append(f"{name} {speedup:.2f}x")
-        if speedup < threshold:
-            ok = False
-    if not judged:
-        return True, "planner speedup gate: skipped (no suite benchmarked)"
-    verdict = "PASS" if ok else "FAIL"
-    return ok, (
-        f"planner speedup gate: {verdict} ({', '.join(judged)}; "
-        f"floor {threshold:.2f}x vs per-pair path)"
     )
 
 
@@ -413,9 +335,5 @@ def render_report(report: BenchReport) -> str:
             lines.append(
                 f"  {name:<12} guard overhead: "
                 f"{suite.guard_overhead - 1.0:+.1%}"
-            )
-        if "legacy" in suite.legs:
-            lines.append(
-                f"  {name:<12} planner speedup: {suite.planner_speedup:.2f}x"
             )
     return "\n".join(lines) + "\n"

@@ -157,8 +157,8 @@ def run_serve_bench(
 
     try:
         # Reference answers: direct in-process analysis, no service, no
-        # persistence, planner at its default.  This is the ground truth
-        # the restarted service must reproduce from its store.
+        # persistence.  This is the ground truth the restarted service
+        # must reproduce from its store.
         reference = {
             name: _comparable(
                 result_to_dict(analyze(parse(source, name), AnalysisOptions()))

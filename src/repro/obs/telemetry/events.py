@@ -3,7 +3,7 @@
 While spans and metrics summarize a run after the fact, the event bus
 streams the analysis's decisions *as they settle*: one event per run
 start/end, per flow pair examined, per verdict (with the deciding
-stage), per budget degradation and per planner fallback.  Events go to a
+stage) and per budget degradation.  Events go to a
 user callback or a JSONL sink (:class:`JsonlSink`), ready for tailing,
 ``jq`` pipelines, or the request log of a future ``repro serve``.
 
@@ -14,8 +14,7 @@ Determinism contract — the property regression tests pin down:
   carries no wall-clock timestamps.
 * Sampling is content-hashed (CRC-32 of the pair subject), never
   random: the same pairs are kept at the same rate on every run.
-  Run-level events (``run.*``, ``degradation``,
-  ``planner.fallback``) are always delivered.
+  Run-level events (``run.*``, ``degradation``) are always delivered.
 
 Activate a bus with :func:`publishing`; instrumented code finds it via
 :func:`current_bus` (one thread-local list check when disabled, keeping

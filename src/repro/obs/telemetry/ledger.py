@@ -67,7 +67,6 @@ STABLE_COUNTERS = frozenset(
         "solver.batch.queries",
         "solver.plan.groups",
         "solver.plan.pairs_planned",
-        "solver.plan.fallbacks",
         "guard.degradations",
         "guard.budget_exhausted",
     }
@@ -120,7 +119,6 @@ _OPTION_FIELDS = (
     "cache_size",
     "deadline_ms",
     "policy",
-    "planner",
 )
 
 
@@ -208,11 +206,7 @@ def _bench_summary(artifact: dict) -> tuple[dict, dict]:
                 if "median_s" in data
             }
         }
-        for ratio in (
-            "cache_speedup",
-            "guard_overhead",
-            "planner_speedup",
-        ):
+        for ratio in ("cache_speedup", "guard_overhead"):
             if ratio in suite:
                 entry[ratio] = round(suite[ratio], 4)
         timing[name] = entry
@@ -293,8 +287,9 @@ def stable_view(record: dict) -> dict:
     (:data:`STABLE_COUNTER_PREFIXES` / :data:`STABLE_COUNTERS`); drops
     identity, timing, machine and every configuration-dependent series.
     The ``cache`` options are elided too — they *are* the configuration
-    under comparison — and so are the ``workers`` and ``backend`` options
-    that older records carry, so those compare with current ones.
+    under comparison — and so are the ``workers``, ``backend`` and
+    ``planner`` options that older records carry, so those compare with
+    current ones.
     """
 
     options = record.get("options")
@@ -302,7 +297,8 @@ def stable_view(record: dict) -> dict:
         options = {
             key: value
             for key, value in sorted(options.items())
-            if key not in ("workers", "cache", "cache_size", "backend")
+            if key
+            not in ("workers", "cache", "cache_size", "backend", "planner")
         }
     counters = {}
     metrics = record.get("metrics")

@@ -23,9 +23,10 @@ sound only for a fixed right-hand side) are simply not taken — the
 variable stays in the core and later probes pay for it, keeping the
 handle conservative in cost but never in answers.
 
-:meth:`PartialElimination.refine` re-runs the reduction after conjoining
-more constraints (a direction-tree branch pinning one distance's sign),
-which is how sibling branches of the search share the prefix work.
+:class:`repro.solver.plan.PlanState` re-runs the reduction after
+conjoining more constraints (a direction-tree branch pinning one
+distance's sign), which is how sibling branches of the search share the
+prefix work.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .constraints import (
     Relation,
 )
 from .eliminate import eliminate_equalities, fourier_motzkin
-from .errors import OmegaComplexityError
+from .errors import BudgetExhausted, OmegaComplexityError
 
 __all__ = ["PartialElimination", "partial_eliminate"]
 
@@ -80,29 +81,6 @@ class PartialElimination:
             return self.problem
         return Problem(
             list(self.problem.constraints) + extra, self.problem.name
-        )
-
-    def refine(
-        self,
-        constraints: Iterable[Constraint],
-        keep: Iterable | None = None,
-        *,
-        max_growth: int = 0,
-    ) -> "PartialElimination":
-        """A new handle for ``core ∧ constraints``, reduced further.
-
-        ``keep`` (default: this handle's) may *narrow* the protected set —
-        sound only when no future probe constrains the dropped variables
-        again (the direction-tree search drops each distance variable once
-        its sign is pinned at that level).
-        """
-
-        kept = self.keep if keep is None else frozenset(keep)
-        derived = partial_eliminate(
-            self.probe(constraints), kept, max_growth=max_growth
-        )
-        return PartialElimination(
-            derived.problem, kept, self.eliminated + derived.eliminated
         )
 
 
@@ -157,14 +135,18 @@ def partial_eliminate(
     Runs equality elimination (protecting ``keep``) and then repeated
     exact Fourier-Motzkin steps, re-normalizing and re-eliminating
     equalities after each.  Stops when only inexact or too-costly
-    (``max_growth`` new constraints) eliminations remain.  Never raises
-    on complexity: a blow-up inside the reduction falls back to an
-    unreduced handle, so callers degrade to per-probe solving.
+    (``max_growth`` new constraints) eliminations remain.  A complexity
+    blow-up inside the reduction falls back to an unreduced handle, so
+    callers degrade to per-probe solving.  :class:`BudgetExhausted`
+    propagates: the caller owns the governed scope and decides what an
+    exhausted reduction means.
     """
 
     kept = frozenset(keep)
     try:
         return _partial_eliminate(problem, kept, max_growth)
+    except BudgetExhausted:
+        raise
     except OmegaComplexityError:
         return PartialElimination(problem, kept, 0)
 

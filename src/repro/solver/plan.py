@@ -10,18 +10,28 @@ loop-bound variables from scratch.
 The division of labor matters for the audit layer: the *probes* (small
 reduced problems) still go through :mod:`repro.solver`'s service
 functions, one per question, so per-subject query footprints are
-identical to the legacy path.  Only the reduction work itself — a pure
-rewrite with no observable answer — happens here, outside the audited
-boundary.
+identical with or without a plan.  Only the reduction work itself — a
+pure rewrite with no observable answer — happens here, outside the
+audited boundary.
+
+Under governance each reduction is metered as a query of its own (its
+FM/splinter spend is not charged to the previous probe).  A reduction
+that exhausts its budget or the deadline yields the unreduced problem,
+which is not memoized; the probes then answer from the full problem
+under their usual degradation shields, so no answer changes and nothing
+reaches the degradation log.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..guard import budget as _guard
 from ..obs import metrics as _metrics
 from ..omega.constraints import Constraint, Problem
+from ..omega.errors import BudgetExhausted
 from ..omega.partial import PartialElimination, partial_eliminate
 
 __all__ = ["PlanSpace", "PlanState"]
@@ -51,9 +61,16 @@ class PlanSpace:
         if cached is not None:
             _metrics.inc("solver.plan.cores_reused")
             return cached
-        core = self._cores[key] = partial_eliminate(
-            problem, keep, max_growth=self.max_growth
-        )
+        gov = _guard.active()
+        metered = gov.fresh_query() if gov is not None else nullcontext()
+        try:
+            with metered:
+                core = partial_eliminate(
+                    problem, keep, max_growth=self.max_growth
+                )
+        except BudgetExhausted:
+            return PartialElimination(problem, frozenset(keep))
+        self._cores[key] = core
         _metrics.inc("solver.plan.cores_built")
         return core
 

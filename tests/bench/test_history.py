@@ -34,7 +34,6 @@ def _artifact():
                 "cache_speedup": 2.0,
                 "workers_speedup": 2.0,
                 "guard_overhead": 1.02,
-                "planner_speedup": 1.5,
             },
             "cholsky": {
                 "description": "the kernel",
@@ -68,9 +67,8 @@ class TestHistoryEntry:
         }
         assert corpus["cache_speedup"] == 2.0
         assert corpus["guard_overhead"] == 1.02
-        assert corpus["planner_speedup"] == 1.5
-        # cholsky predates the legacy leg; the ratio is simply absent.
-        assert "planner_speedup" not in entry["suites"]["cholsky"]
+        # Retired ratios of older artifacts are not summarized.
+        assert "workers_speedup" not in corpus
 
     def test_default_timestamp_is_utc_iso(self):
         entry = history_entry(_artifact(), sha="abc1234")

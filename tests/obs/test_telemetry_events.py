@@ -134,10 +134,9 @@ class TestEngineIntegration:
         second = run_events(example1(), AnalysisOptions(extended=True))
         assert first == second
 
-    def test_degradation_and_fallback_events_on_governed_runs(self):
+    def test_degradation_events_on_governed_runs(self):
         events = run_events(example1(), AnalysisOptions(deadline_ms=0.0))
         kinds = [event["kind"] for event in events]
-        assert "planner.fallback" in kinds
         assert "degradation" in kinds
         degradations = [
             event for event in events if event["kind"] == "degradation"

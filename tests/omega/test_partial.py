@@ -122,21 +122,6 @@ class TestProtection:
             assert is_satisfiable(core.probe(extra)) == is_satisfiable(full)
 
 
-class TestRefine:
-    def test_refine_conjoins_and_reduces_further(self):
-        core = partial_eliminate(nest_problem(), [D])
-        pinned = core.refine([eq(D - 2)], keep=[])
-        assert is_satisfiable(pinned.probe())
-        assert pinned.eliminated >= core.eliminated
-        contradiction = core.refine([eq(D - 50)], keep=[])
-        assert not is_satisfiable(contradiction.probe())
-
-    def test_refine_default_keeps_protected_set(self):
-        core = partial_eliminate(nest_problem(), [D])
-        refined = core.refine([ge(D)])
-        assert refined.keep == core.keep
-
-
 class TestComplexityFallback:
     def test_blowup_returns_unreduced_handle(self, monkeypatch):
         import repro.omega.partial as partial_mod
