@@ -316,7 +316,8 @@ def caching(cache: SolverCache | None = None) -> Iterator[SolverCache]:
 
 
 def _rename_expr(expr: LinearExpr, mapping: dict) -> LinearExpr:
-    return LinearExpr(
+    # ``mapping`` is injective, so the renamed terms stay distinct.
+    return LinearExpr._raw(
         {mapping.get(v, v): coeff for v, coeff in expr.terms.items()},
         expr.constant,
     )

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from ..obs.trace import active as _tracing
+from ..obs.trace import span as _span
 from .errors import OmegaError
-from .terms import LinearExpr, Variable
+from .terms import FALSE_ROW, TRUE_ROW, LinearExpr, Variable
 
 __all__ = [
     "Relation",
@@ -35,6 +36,10 @@ class Relation(enum.Enum):
 
     EQ = "="
     GE = ">="
+
+
+_EQ = Relation.EQ
+_GE = Relation.GE
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,18 @@ class Constraint:
         return (self,)
 
     def substitute(self, var: Variable, replacement: LinearExpr) -> "Constraint":
-        return Constraint(self.expr.substitute(var, replacement), self.relation)
+        """This constraint with ``var`` replaced; ``self`` if ``var`` is absent."""
+
+        expr = self.expr.substitute(var, replacement)
+        return self if expr is self.expr else Constraint(expr, self.relation)
+
+    def normal(self) -> "LinearExpr | object":
+        """The memoized normal row of this constraint: its expression's
+        :meth:`~LinearExpr.eq_normal` or :meth:`~LinearExpr.ge_normal`."""
+
+        if self.relation is _EQ:
+            return self.expr.eq_normal()
+        return self.expr.ge_normal()
 
     def is_satisfied_by(self, assignment: Mapping[Variable, int]) -> bool:
         value = self.expr.evaluate(assignment)
@@ -285,104 +301,100 @@ class Problem:
           detected as unsatisfiable.
         """
 
-        ineqs: dict[tuple, int] = {}  # normal key -> tightest constant
-        ineq_exprs: dict[tuple, LinearExpr] = {}
-        eqs: dict[tuple, int] = {}
-        eq_exprs: dict[tuple, LinearExpr] = {}
+        if _tracing():
+            with _span("omega.normalize"):
+                return self._normalize()
+        return self._normalize()
 
+    def _normalize(self) -> tuple["Problem", NormalizeStatus]:
+        # Each row's normal, key and flipped key are memoized on its
+        # expression (see LinearExpr.eq_normal/ge_normal), so this is dict
+        # work only.  A row that is already normal keeps its Constraint.
+        unsat = NormalizeStatus.UNSATISFIABLE
+        eqs: dict[tuple, Constraint] = {}  # normal key -> equality
+        ineqs: dict[tuple, Constraint] = {}  # normal key -> tightest inequality
         for constraint in self.constraints:
             expr = constraint.expr
-            g = expr.coefficients_gcd()
-            if g == 0:  # constant constraint
-                if constraint.is_equality:
-                    if expr.constant != 0:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                else:
-                    if expr.constant < 0:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                continue
-            if constraint.is_equality:
-                if expr.constant % g:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                reduced = expr.exact_div(g)
-                # Canonical sign: make the lexicographically-first term positive.
-                first = min(reduced.terms.items(), key=lambda it: (it[0].kind, it[0].name))
-                if first[1] < 0:
-                    reduced = -reduced
-                key = reduced.key()
-                if key in eqs:
-                    if eqs[key] != reduced.constant:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                else:
-                    eqs[key] = reduced.constant
-                    eq_exprs[key] = reduced
+            if constraint.relation is _EQ:
+                row = expr.eq_normal()
+                if row is TRUE_ROW:
+                    continue
+                if row is FALSE_ROW:
+                    return Problem(name=self.name), unsat
+                if row is not expr:
+                    constraint = Constraint(row, _EQ)
+                key = row.key()
+                seen = eqs.get(key)
+                if seen is None:
+                    eqs[key] = constraint
+                elif seen.expr.constant != row.constant:
+                    return Problem(name=self.name), unsat
             else:
-                if g > 1:
-                    reduced = expr.scale_and_floor(g)
-                else:
-                    reduced = expr
-                key = reduced.key()
-                if key in ineqs:
-                    # Same normal: a smaller constant is a tighter constraint.
-                    if reduced.constant < ineqs[key]:
-                        ineqs[key] = reduced.constant
-                        ineq_exprs[key] = reduced
-                else:
-                    ineqs[key] = reduced.constant
-                    ineq_exprs[key] = reduced
+                row = expr.ge_normal()
+                if row is TRUE_ROW:
+                    continue
+                if row is FALSE_ROW:
+                    return Problem(name=self.name), unsat
+                if row is not expr:
+                    constraint = Constraint(row, _GE)
+                # Same normal: a smaller constant is a tighter constraint.
+                key = row.key()
+                seen = ineqs.get(key)
+                if seen is None or row.constant < seen.expr.constant:
+                    ineqs[key] = constraint
 
-        # Check opposite inequality pairs: a.x + c1 >= 0 and -a.x + c2 >= 0
-        # mean -c1 <= a.x <= c2, inconsistent when -c1 > c2, an equality when
+        # Opposite inequality pairs: a.x + c1 >= 0 and -a.x + c2 >= 0 mean
+        # -c1 <= a.x <= c2, inconsistent when -c1 > c2, an equality when
         # -c1 == c2.
-        result = Problem(name=self.name)
         consumed: set[tuple] = set()
-        for key, constant in ineqs.items():
+        for key, constraint in ineqs.items():
             if key in consumed:
                 continue
-            expr = ineq_exprs[key]
-            neg_key = (-expr).key()
-            if neg_key in ineqs and neg_key not in consumed:
-                other_constant = ineqs[neg_key]
-                if -constant > other_constant:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                if -constant == other_constant:
-                    consumed.add(key)
-                    consumed.add(neg_key)
-                    # a.x = -c1 as an equality with canonical sign.
-                    eq_expr = expr
-                    first = min(
-                        eq_expr.terms.items(), key=lambda it: (it[0].kind, it[0].name)
-                    )
-                    if first[1] < 0:
-                        eq_expr = -eq_expr
-                    ekey = eq_expr.key()
-                    if ekey in eqs and eqs[ekey] != eq_expr.constant:
-                        return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
-                    eqs[ekey] = eq_expr.constant
-                    eq_exprs[ekey] = eq_expr
+            row = constraint.expr
+            other = ineqs.get(row.flipped_key())
+            if other is None:
+                continue
+            if -row.constant > other.expr.constant:
+                return Problem(name=self.name), unsat
+            if -row.constant == other.expr.constant:
+                consumed.add(key)
+                consumed.add(row.flipped_key())
+                # a.x = -c1 as an equality with canonical sign.
+                eq_row = row.eq_normal()
+                ekey = eq_row.key()
+                seen = eqs.get(ekey)
+                if seen is None:
+                    eqs[ekey] = Constraint(eq_row, _EQ)
+                elif seen.expr.constant != eq_row.constant:
+                    return Problem(name=self.name), unsat
 
-        for key, expr in eq_exprs.items():
-            result.add(Constraint(expr, Relation.EQ))
-        for key, expr in ineq_exprs.items():
+        result = Problem(eqs.values(), self.name)
+        out = result.constraints
+        if not eqs:  # nothing to imply or merge into
+            out.extend(ineqs.values())
+            ineqs = {}
+        for key, constraint in ineqs.items():
             if key in consumed:
                 continue
+            row = constraint.expr
             # An inequality implied by an equality with the same normal drops.
             # The equality a.x + k = 0 says a.x = -k; the inequality
             # a.x + c >= 0 says a.x >= -c, implied when k <= c.
-            if key in eqs:
-                if eqs[key] > expr.constant:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
+            seen = eqs.get(key)
+            if seen is not None:
+                if seen.expr.constant > row.constant:
+                    return Problem(name=self.name), unsat
                 continue
-            neg_key = (-expr).key()
-            if neg_key in eqs:
+            seen = eqs.get(row.flipped_key())
+            if seen is not None:
                 # equality: -a.x + k = 0 => a.x = k; inequality a.x >= -c
                 # holds iff k >= -c i.e. k + c >= 0.
-                if eqs[neg_key] + expr.constant < 0:
-                    return Problem(name=self.name), NormalizeStatus.UNSATISFIABLE
+                if seen.expr.constant + row.constant < 0:
+                    return Problem(name=self.name), unsat
                 continue
-            result.add(Constraint(expr, Relation.GE))
+            out.append(constraint)
 
-        if not result.constraints:
+        if not out:
             return result, NormalizeStatus.TAUTOLOGY
         return result, NormalizeStatus.NORMALIZED
 
@@ -443,19 +455,13 @@ class Problem:
 _UNSAT_KEY: tuple = ("UNSAT",)
 
 
-def _skeleton(constraint: Constraint, tag: int) -> tuple:
-    """A name-free fingerprint of one constraint within a problem group."""
+def _stand_ins(indices: dict[Variable, int]) -> dict[Variable, Variable]:
+    """Each variable's canonical stand-in ``__c{index}`` (kind preserved)."""
 
-    return (
-        tag,
-        0 if constraint.is_equality else 1,
-        constraint.expr.constant,
-        tuple(
-            sorted(
-                (v.kind, coeff) for v, coeff in constraint.expr.terms.items()
-            )
-        ),
-    )
+    return {
+        var: Variable(f"__c{position}", var.kind)
+        for var, position in indices.items()
+    }
 
 
 class JointCanonical:
@@ -465,25 +471,31 @@ class JointCanonical:
     key of the i-th problem, and ``key`` combines them all (plus the shared
     variable-kind vector) into a single hashable value.  ``rename`` maps
     every original variable to its canonical stand-in ``__c{index}`` (kind
-    preserved); ``indices`` gives the bare positional index.
+    preserved), built on first use; ``indices`` gives the bare positional
+    index.
     """
 
-    __slots__ = ("keys", "kinds", "rename", "indices", "statuses", "key")
+    __slots__ = ("keys", "kinds", "indices", "statuses", "key", "_rename")
 
     def __init__(
         self,
         keys: tuple[tuple, ...],
         kinds: tuple[str, ...],
-        rename: dict[Variable, Variable],
         indices: dict[Variable, int],
         statuses: tuple["NormalizeStatus", ...],
     ):
         self.keys = keys
         self.kinds = kinds
-        self.rename = rename
         self.indices = indices
         self.statuses = statuses
         self.key = (keys, kinds)
+        self._rename: dict[Variable, Variable] | None = None
+
+    @property
+    def rename(self) -> dict[Variable, Variable]:
+        if self._rename is None:
+            self._rename = _stand_ins(self.indices)
+        return self._rename
 
     def inverse(self) -> dict[Variable, Variable]:
         """The canonical-to-original variable mapping."""
@@ -495,7 +507,6 @@ class JointCanonical:
 
         return CanonicalProblem(
             (self.keys[index], self.kinds),
-            self.rename,
             self.indices,
             self.statuses[index],
         )
@@ -507,22 +518,27 @@ class CanonicalProblem:
     Structural ``__eq__``/``__hash__`` compare only the canonical ``key``:
     alpha-equivalent problems (and problems whose constraints normalize to
     the same system) collide.  The original-to-canonical variable renaming
-    is retained for cache result translation.
+    (``rename``, built on first use) serves cache result translation.
     """
 
-    __slots__ = ("key", "rename", "indices", "status")
+    __slots__ = ("key", "indices", "status", "_rename")
 
     def __init__(
         self,
         key: tuple,
-        rename: dict[Variable, Variable],
         indices: dict[Variable, int],
         status: "NormalizeStatus",
     ):
         self.key = key
-        self.rename = rename
         self.indices = indices
         self.status = status
+        self._rename: dict[Variable, Variable] | None = None
+
+    @property
+    def rename(self) -> dict[Variable, Variable]:
+        if self._rename is None:
+            self._rename = _stand_ins(self.indices)
+        return self._rename
 
     @property
     def is_unsatisfiable(self) -> bool:
@@ -561,61 +577,58 @@ def canonicalize_problems(problems: Sequence[Problem]) -> JointCanonical:
     the dependence analysis re-issues.
     """
 
-    normalized: list[tuple[list[Constraint], NormalizeStatus]] = []
-    for problem in problems:
-        norm, status = problem.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            normalized.append(([], status))
-        else:
-            normalized.append((norm.constraints, status))
+    if _tracing():
+        with _span("omega.canonicalize"):
+            return _canonicalize(problems)
+    return _canonicalize(problems)
 
+
+def _canonicalize(problems: Sequence[Problem]) -> JointCanonical:
+    # An unsatisfiable problem normalizes to no rows.
+    groups = [problem.normalized() for problem in problems]
+
+    # Each variable's signature: its kind, then the sorted list of the
+    # name-free fingerprints of the rows it occurs in (group, relation,
+    # constant, the row's memoized coefficient shape), each with the
+    # variable's coefficient there.  Variables order by signature, then
+    # name; (kind, name) is unique, so the variable itself never decides.
     occurrences: dict[Variable, list[tuple]] = {}
-    for tag, (constraints, _status) in enumerate(normalized):
-        for constraint in constraints:
-            fingerprint = _skeleton(constraint, tag)
-            for var, coeff in constraint.expr.terms.items():
+    for tag, (norm, _status) in enumerate(groups):
+        for row in norm.constraints:
+            expr = row.expr
+            fingerprint = (tag, row.relation is _GE, expr.constant, expr.shape())
+            for var, coeff in expr.terms.items():
                 occurrences.setdefault(var, []).append((fingerprint, coeff))
+    decorated = []
+    for var, found in occurrences.items():
+        found.sort()
+        decorated.append((var.kind, found, var.name, var))
+    decorated.sort()
+    ordered = [entry[-1] for entry in decorated]
+    indices = dict(zip(ordered, range(len(ordered))))
 
-    signatures = {
-        var: (var.kind, tuple(sorted(found)))
-        for var, found in occurrences.items()
-    }
-    ordered = sorted(
-        occurrences, key=lambda v: (signatures[v], v.kind, v.name)
-    )
-    indices = {var: position for position, var in enumerate(ordered)}
-    rename = {
-        var: Variable(f"__c{position}", var.kind)
-        for var, position in indices.items()
-    }
-    kinds = tuple(var.kind for var in ordered)
-
+    position = indices.__getitem__
     keys: list[tuple] = []
-    for constraints, status in normalized:
+    for norm, status in groups:
         if status is NormalizeStatus.UNSATISFIABLE:
             keys.append(_UNSAT_KEY)
             continue
         entries = []
-        for constraint in constraints:
-            terms = tuple(
-                sorted(
-                    (indices[v], coeff)
-                    for v, coeff in constraint.expr.terms.items()
-                )
-            )
+        for row in norm.constraints:
+            terms = row.expr.terms
             entries.append(
                 (
-                    0 if constraint.is_equality else 1,
-                    terms,
-                    constraint.expr.constant,
+                    0 if row.relation is _EQ else 1,
+                    tuple(sorted(zip(map(position, terms), terms.values()))),
+                    row.expr.constant,
                 )
             )
-        keys.append(tuple(sorted(entries)))
+        entries.sort()
+        keys.append(tuple(entries))
 
     return JointCanonical(
         tuple(keys),
-        kinds,
-        rename,
+        tuple([var.kind for var in ordered]),
         indices,
-        tuple(status for _constraints, status in normalized),
+        tuple([status for _norm, status in groups]),
     )

@@ -36,7 +36,7 @@ from ..obs.trace import span as _span
 from .constraints import Constraint, NormalizeStatus, Problem, Relation
 from .errors import OmegaComplexityError, OmegaError
 from .kernel import combine_shadows
-from .terms import LinearExpr, Variable, fresh_wildcard
+from .terms import FALSE_ROW, TRUE_ROW, LinearExpr, Variable, fresh_wildcard
 
 __all__ = [
     "mod_hat",
@@ -120,9 +120,8 @@ def _solve_for_unit(
     coeff = expr.coeff(var)
     if coeff not in (1, -1):
         raise OmegaError(f"{var} does not have a unit coefficient in {expr}")
-    rest = expr + LinearExpr({var: -coeff})
     # coeff*var + rest = 0  =>  var = -rest/coeff
-    return (-rest) * coeff  # dividing by +-1 == multiplying
+    return expr.drop(var) * -coeff  # dividing by +-1 == multiplying
 
 
 def eliminate_equalities(
@@ -148,6 +147,86 @@ def eliminate_equalities(
     return result
 
 
+class _RowKeys:
+    """The normal keys of a normalized problem's rows, by relation.
+
+    Rows of a normalized problem do not interact: no two share a key
+    within a relation, no inequality shares its key or flipped key with an
+    equality, and no opposite inequality pair is tight.  So after a
+    substitution, a rewritten row needs normalizing against the others
+    only when its new key meets one of theirs.
+    """
+
+    __slots__ = ("eq", "ge")
+
+    def __init__(self, rows: list[Constraint]):
+        self.reset(rows)
+
+    def reset(self, rows: list[Constraint]) -> None:
+        self.eq = {row.expr.key() for row in rows if row.is_equality}
+        self.ge = {row.expr.key() for row in rows if not row.is_equality}
+
+    def add(self, row: Constraint) -> None:
+        (self.eq if row.is_equality else self.ge).add(row.expr.key())
+
+    def remove(self, row: Constraint) -> None:
+        (self.eq if row.is_equality else self.ge).remove(row.expr.key())
+
+    def meets(self, row: Constraint) -> bool:
+        """Does the normal ``row`` share a key or flipped key with a row
+        held here?  (An equality's key is sign-canonical, so its flipped
+        key can only be an inequality's.)"""
+
+        key, flip = row.expr.key(), row.expr.flipped_key()
+        if row.is_equality:
+            return key in self.eq or key in self.ge or flip in self.ge
+        return key in self.ge or flip in self.ge or key in self.eq or flip in self.eq
+
+
+def _renormalize(
+    current: Problem, rows: list[Constraint | None], keys: _RowKeys
+) -> tuple[Problem, NormalizeStatus]:
+    """``Problem(rows).normalized()`` for the rows after one substitution.
+
+    ``current`` is normalized and ``rows`` is aligned with its rows: the
+    same object where a row did not change, a new constraint where it was
+    rewritten, ``None`` where it was dropped.  ``keys`` holds ``current``'s
+    keys and is updated to the result's.  Only rewritten rows are
+    normalized; the whole list goes through :meth:`Problem.normalized`
+    only when a rewritten row meets another.
+    """
+
+    old_rows = current.constraints
+    for old, new in zip(old_rows, rows):
+        if new is not old:
+            keys.remove(old)
+    out: list[Constraint] = []
+    for old, new in zip(old_rows, rows):
+        if new is old:
+            out.append(old)
+            continue
+        if new is None:
+            continue
+        normal = new.normal()
+        if normal is TRUE_ROW:
+            continue
+        if normal is FALSE_ROW:
+            return Problem(name=current.name), NormalizeStatus.UNSATISFIABLE
+        if normal is not new.expr:
+            new = Constraint(normal, new.relation)
+        if keys.meets(new):
+            merged, status = Problem(
+                [row for row in rows if row is not None], current.name
+            ).normalized()
+            keys.reset(merged.constraints)
+            return merged, status
+        keys.add(new)
+        out.append(new)
+    if not out:
+        return Problem(name=current.name), NormalizeStatus.TAUTOLOGY
+    return Problem(out, current.name), NormalizeStatus.NORMALIZED
+
+
 def _eliminate_equalities(
     problem: Problem, protected: frozenset[Variable]
 ) -> EqualityEliminationResult:
@@ -156,6 +235,7 @@ def _eliminate_equalities(
     if status is NormalizeStatus.UNSATISFIABLE:
         result.satisfiable = False
         return result
+    keys: _RowKeys | None = None  # built at the first substitution
 
     steps = 0
     while True:
@@ -174,7 +254,7 @@ def _eliminate_equalities(
         for constraint in current.constraints:
             if not constraint.is_equality:
                 continue
-            if all(v in protected for v in constraint.variables()):
+            if all(v in protected for v in constraint.expr.terms):
                 continue
             if is_stride_equality(constraint, current, protected):
                 continue
@@ -196,8 +276,10 @@ def _eliminate_equalities(
                 break
         if unit is not None:
             replacement = _solve_for_unit(expr, unit)
-            remaining = [c for c in current.constraints if c is not target]
-            current = substitute(Problem(remaining, current.name), unit, replacement)
+            rows = [
+                None if c is target else c.substitute(unit, replacement)
+                for c in current.constraints
+            ]
             result.substitutions.append((unit, replacement))
         elif len(eliminable) == 1:
             # Exactly one unprotected variable u with |coeff| >= 2: the
@@ -207,26 +289,25 @@ def _eliminate_equalities(
             # equality, which becomes a stride constraint once u is renamed
             # to a wildcard.
             u, a_u = eliminable[0]
-            rest = expr + LinearExpr({u: -a_u})  # r, so a_u*u + r = 0
-            scaled: list[Constraint] = []
-            for c in current.constraints:
-                if c is target or not c.coeff(u):
-                    scaled.append(c)
-                    continue
-                c_u = c.coeff(u)
-                c_rest = c.expr + LinearExpr({u: -c_u})
-                # |a_u| * c.expr = c_u*sign(a_u)*(a_u*u) + |a_u|*c_rest
-                #               -> -c_u*sign(a_u)*r + |a_u|*c_rest
-                sign = 1 if a_u > 0 else -1
-                new_expr = c_rest * abs(a_u) - rest * (c_u * sign)
-                scaled.append(Constraint(new_expr, c.relation))
+            rest = expr.drop(u)  # r, so a_u*u + r = 0
             new_target = target
             if not u.is_wildcard:
                 sigma = fresh_wildcard("stride")
                 new_target = target.substitute(u, LinearExpr({sigma: 1}))
                 result.substitutions.append((u, LinearExpr({sigma: 1})))
-            scaled = [new_target if c is target else c for c in scaled]
-            current = Problem(scaled, current.name)
+            rows = []
+            for c in current.constraints:
+                c_u = c.coeff(u)
+                if c is target:
+                    rows.append(new_target)
+                elif not c_u:
+                    rows.append(c)
+                else:
+                    # |a_u| * c.expr = c_u*sign(a_u)*(a_u*u) + |a_u|*c_rest
+                    #               -> -c_u*sign(a_u)*r + |a_u|*c_rest
+                    sign = 1 if a_u > 0 else -1
+                    new_expr = c.expr.drop(u) * abs(a_u) - rest * (c_u * sign)
+                    rows.append(Constraint(new_expr, c.relation))
         else:
             # Pugh's symmetric-modulo reduction: pick the unprotected
             # variable with the smallest |coefficient|; the derived equality
@@ -242,11 +323,12 @@ def _eliminate_equalities(
             derived = reduced - LinearExpr({sigma: m})
             # derived = 0 has coefficient -sign(coeff) on ``var``.
             replacement = _solve_for_unit(derived, var)
-            others = [c for c in current.constraints]
-            current = substitute(Problem(others, current.name), var, replacement)
+            rows = [c.substitute(var, replacement) for c in current.constraints]
             result.substitutions.append((var, replacement))
 
-        current, status = current.normalized()
+        if keys is None:
+            keys = _RowKeys(current.constraints)
+        current, status = _renormalize(current, rows, keys)
         if status is NormalizeStatus.UNSATISFIABLE:
             result.satisfiable = False
             result.problem = current
@@ -270,14 +352,6 @@ class FMResult:
     #: variable — it was removed via an added equality) whose union with the
     #: dark shadow equals the exact integer projection.
     splinters: list[Problem] = field(default_factory=list)
-
-
-def _split_bound(constraint: Constraint, var: Variable) -> tuple[int, LinearExpr]:
-    """Write ``constraint`` as ``coeff*var + rest >= 0`` and return both."""
-
-    coeff = constraint.coeff(var)
-    rest = constraint.expr + LinearExpr({var: -coeff})
-    return coeff, rest
 
 
 def fourier_motzkin(
@@ -330,9 +404,9 @@ def _fourier_motzkin(
                 f"fourier_motzkin({var}) called with live equality {constraint}"
             )
         if coeff > 0:
-            lowers.append((coeff, constraint.expr + LinearExpr({var: -coeff})))
+            lowers.append((coeff, constraint.expr.drop(var)))
         else:
-            uppers.append((-coeff, constraint.expr + LinearExpr({var: coeff * -1})))
+            uppers.append((-coeff, constraint.expr.drop(var)))
 
     # Unbounded on one side: the projection just drops the constraints.
     if not lowers or not uppers:

@@ -73,32 +73,34 @@ def _implied_by_single(e: Constraint, other: Constraint) -> bool:
 
     if e.is_equality:
         return other.is_equality and (
-            other.expr == e.expr or other.expr == -e.expr
+            other.expr == e.expr
+            or (
+                other.expr.flipped_key() == e.expr.key()
+                and other.expr.constant == -e.expr.constant
+            )
         )
     key = e.expr.key()
     c = e.expr.constant
     if other.is_equality:
         if other.expr.key() == key:
             return other.expr.constant <= c
-        if (-other.expr).key() == key:
-            return (-other.expr).constant <= c
+        if other.expr.flipped_key() == key:
+            return -other.expr.constant <= c
         return False
     if other.expr.key() == key:
         return other.expr.constant <= c
     return False
 
 
-def _implied_by_pair(e: Constraint, c1: Constraint, c2: Constraint) -> bool:
+def _implied_by_pair(not_e: Constraint, c1: Constraint, c2: Constraint) -> bool:
     """Fast check 4: is ``e`` implied by the conjunction of two constraints?
 
     Decided exactly with a tiny satisfiability test on three constraints:
-    ``c1 and c2 and not e``.
+    ``c1 and c2 and not e`` (the caller passes ``not_e = e.negated()``,
+    built once per ``e``).
     """
 
-    if e.is_equality:
-        return False
-    tiny = Problem([c1, c2, e.negated()])
-    return not is_satisfiable(tiny)
+    return not is_satisfiable(Problem([c1, c2, not_e]))
 
 
 def gist(
@@ -321,12 +323,15 @@ def _gist(
     # --- Fast check 4: implication by a pair of constraints, tested with a
     # three-constraint satisfiability problem. ---
     for e in list(undecided):
+        if e.is_equality:
+            continue
+        not_e = e.negated()
         context = (
             [c for c in undecided if c is not e] + definite + q_constraints
         )
         for c1, c2 in itertools.combinations(context, 2):
             if _shares_variable(e, c1) or _shares_variable(e, c2):
-                if _implied_by_pair(e, c1, c2):
+                if _implied_by_pair(not_e, c1, c2):
                     stats.dropped_pairwise += 1
                     undecided.remove(e)
                     break

@@ -57,10 +57,11 @@ def _emit(
     """
 
     terms = {var: coeff for var, coeff in zip(columns, row) if coeff}
-    real = Constraint(LinearExpr(terms, row[-1]), Relation.GE)
+    real = Constraint(LinearExpr._raw(terms, row[-1]), Relation.GE)
     if not adjust:
         return real, real
-    return real, Constraint(LinearExpr(terms, row[-1] - adjust), Relation.GE)
+    dark = LinearExpr._raw(dict(terms), row[-1] - adjust)
+    return real, Constraint(dark, Relation.GE)
 
 
 def combine_shadows(

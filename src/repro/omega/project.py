@@ -235,10 +235,7 @@ def _project_pieces(
         assert var is not None
         fm = fourier_motzkin(current, var)
         if fm.exact:
-            current, status = fm.real.normalized()
-            if status is NormalizeStatus.UNSATISFIABLE:
-                return
-            outcome = eliminate_equalities(current, protected=kept)
+            outcome = eliminate_equalities(fm.real, protected=kept)
             if not outcome.satisfiable:
                 return
             current = outcome.problem
@@ -270,10 +267,7 @@ def _project_dark_only(
         var, _ = choose_variable(current, candidates)
         assert var is not None
         fm = fourier_motzkin(current, var, want_splinters=False)
-        current, status = fm.dark.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            return
-        outcome = eliminate_equalities(current, protected=kept)
+        outcome = eliminate_equalities(fm.dark, protected=kept)
         if not outcome.satisfiable:
             return
         current = outcome.problem
@@ -301,12 +295,7 @@ def _project_real(problem: Problem, kept: frozenset[Variable]) -> Problem:
         var, _ = choose_variable(current, candidates)
         assert var is not None
         fm = fourier_motzkin(current, var, want_splinters=False)
-        current, status = fm.real.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            unsat = Problem(name="FALSE")
-            unsat.add_ge(-1)
-            return unsat
-        outcome = eliminate_equalities(current, protected=kept)
+        outcome = eliminate_equalities(fm.real, protected=kept)
         if not outcome.satisfiable:
             unsat = Problem(name="FALSE")
             unsat.add_ge(-1)

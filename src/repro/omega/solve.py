@@ -25,7 +25,7 @@ from ..obs import metrics as _metrics
 from ..obs import off as _obs_off
 from ..obs.trace import span as _span
 from . import cache as _cache
-from .constraints import NormalizeStatus, Problem
+from .constraints import Problem
 from .eliminate import choose_variable, eliminate_equalities, fourier_motzkin
 from .errors import BudgetExhausted, OmegaComplexityError
 
@@ -199,14 +199,10 @@ def _sat(problem: Problem, depth: int) -> bool:
         _bump("eliminations")
         fm = fourier_motzkin(current, var)
         if fm.exact:
-            current, status = fm.real.normalized()
-            if status is NormalizeStatus.UNSATISFIABLE:
-                return False
-            if status is NormalizeStatus.TAUTOLOGY:
-                return True
             # Exact elimination cannot introduce equalities by itself, but
-            # normalization may discover a matched inequality pair.
-            outcome = eliminate_equalities(current)
+            # normalization (eliminate_equalities' first step) may discover
+            # a matched inequality pair.
+            outcome = eliminate_equalities(fm.real)
             if not outcome.satisfiable:
                 return False
             current = outcome.problem
@@ -257,12 +253,7 @@ def _sat_real_track(problem: Problem, depth: int) -> bool:
         var, _ = choose_variable(current, variables)
         assert var is not None
         fm = fourier_motzkin(current, var, want_splinters=False)
-        current, status = fm.real.normalized()
-        if status is NormalizeStatus.UNSATISFIABLE:
-            return False
-        if status is NormalizeStatus.TAUTOLOGY:
-            return True
-        outcome = eliminate_equalities(current)
+        outcome = eliminate_equalities(fm.real)
         if not outcome.satisfiable:
             return False
         current = outcome.problem

@@ -107,3 +107,30 @@ def test_str_is_insertion_order_independent():
     b = Problem().add_le(y, x).add_le(x, 9).add_ge(x - 1)
     assert str(a) == str(b)
     assert str(Problem()) == "TRUE"
+
+
+def test_key_value_is_stable():
+    # Persistent stores address entries by a digest of repr(key), so the
+    # key's value, not just its equivalence classes, must not drift.
+    w = Variable("_w", "wild")
+    p = (
+        Problem()
+        .add_bounds(0, x, n)
+        .add_le(x + 1, y)
+        .add_eq(2 * w - x - y)
+        .add_ge(3 * y - 6)
+    )
+    q = Problem().add_le(y, n)
+    rows = (
+        (0, ((1, 1), (2, 1), (3, -2)), 0),
+        (1, ((0, 1), (2, -1)), 0),
+        (1, ((1, 1),), -2),
+        (1, ((1, 1), (2, -1)), -1),
+        (1, ((2, 1),), 0),
+    )
+    kinds = ("sym", "var", "var", "wild")
+    assert p.canonical().key == (rows, kinds)
+    assert canonicalize_problems([p, q]).key == (
+        (rows, ((1, ((0, 1), (1, -1)), 0),)),
+        kinds,
+    )
